@@ -30,10 +30,9 @@ use workload::{RateCurve, TraceShape, UserAction, UserPool};
 
 // ---------------------------------------------------------------------
 // Counting allocator, backed by `sim_core::allocmeter`: every thread owns
-// lock-free thread-local counters, and each measurement opens a scope
-// that worker threads (e.g. the sharded engine's window workers) adopt —
-// so per-job numbers stay exact for any `--jobs` value AND any shard
-// count, with the workers' allocations folded in at report time.
+// lock-free thread-local counters, and each measurement opens a scope on
+// the thread that runs its world — so per-job numbers stay exact for any
+// `--jobs` value.
 // ---------------------------------------------------------------------
 
 struct CountingAlloc;

@@ -356,7 +356,8 @@ pub struct ScenarioSpec {
     pub drift_at_secs: Option<u64>,
     /// World-engine shard count (DESIGN §14): `1` runs the sharded
     /// engine's sequential oracle, `N` partitions services across `N`
-    /// concurrent shards — byte-identical outputs either way. Omitted
+    /// shards advanced in lookahead windows — byte-identical outputs
+    /// either way. Omitted
     /// (the default) keeps the classic single-wheel engine. Values are
     /// clamped to the app's service count at build time; `0` and values
     /// above 64 are rejected at parse time. Incompatible with `net`.

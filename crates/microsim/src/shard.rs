@@ -1,23 +1,31 @@
-//! Conservative parallel sharded engine: deterministic event execution
-//! across service shards inside a single [`World`](crate::World).
+//! Conservative sharded engine: deterministic event execution across
+//! service shards inside a single [`World`](crate::World).
 //!
 //! # Model
 //!
 //! Services are partitioned into contiguous shards. Each shard owns a
 //! [`TimerWheel`], the replicas of its services, and the in-flight *jobs*
-//! (spans) executing on them. Shards advance concurrently in bounded time
-//! windows whose width is the **lookahead** `L`: the minimum network latency
-//! of any inter-service message (`WorldConfig::net_delay.lower_bound()`).
-//! Every cross-service interaction — child calls, responses — is a message
-//! carrying an explicit `(time, key)` identity; messages between shards ride
-//! a mailbox that is drained at window barriers.
+//! (spans) executing on them. The calling thread advances the shards in
+//! turn through sequential time windows whose width is the **lookahead**
+//! `L`: the minimum network latency of any inter-service message
+//! (`WorldConfig::net_delay.lower_bound()`). Every cross-service
+//! interaction — child calls, responses — is a message carrying an
+//! explicit `(time, key)` identity; messages between shards wait in the
+//! sender's outbox until the window barrier delivers them.
 //!
 //! Conservatism: a message sent while processing window `[w, w+L)` is
 //! delivered no earlier than `w + L`, i.e. never inside the window that
 //! produced it. Window-local execution therefore never needs rollback, and
 //! because every wheel orders events by `(time, key)` with globally unique
 //! keys, the per-shard execution order is a pure function of the message
-//! set — independent of shard count and of thread scheduling.
+//! set — independent of shard count and of the order shards take turns.
+//!
+//! Shards get no threads of their own. Per window, the busiest shard's
+//! dispatch count is tallied as the critical path
+//! ([`World::critical_path_events`](crate::World::critical_path_events)),
+//! so the parallelism the schedule would expose stays measurable; on the
+//! measured hosts it never repaid the barrier cost of a thread per shard
+//! (DESIGN §14.4).
 //!
 //! # Partition independence
 //!
@@ -36,8 +44,6 @@ use cluster::{ClusterState, Millicores, NodeId, PlacementError};
 use sim_core::{SimDuration, SimRng, SimTime, Slab, SlabKey, TimerWheel};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 use telemetry::{
     ChildCall, ClientLog, ReplicaId, RequestId, RequestTypeId, ServiceId, Span, SpanId, Trace,
     TraceWarehouse,
@@ -58,7 +64,8 @@ pub enum ShardError {
     /// Simulation has already started (clock advanced or requests injected).
     AlreadyStarted,
     /// `net_delay.lower_bound()` is zero, so no conservative lookahead
-    /// window exists. Use a distribution with a positive lower bound.
+    /// window exists to advance shards by. Use a distribution with a
+    /// positive lower bound.
     ZeroLookahead,
     /// The shard plan is empty, non-contiguous, or does not cover services.
     BadPlan(String),
@@ -241,40 +248,12 @@ struct SvcLocal {
     seq: u64,
 }
 
-/// Cross-shard message transport: a dense matrix of `src × dst` cells.
-/// Purely a mailbox — ordering is re-established by the receiving wheel's
-/// `(time, key)` sort, so lock acquisition order never matters.
-struct Mailbox {
-    n: usize,
-    cells: Vec<Mutex<Vec<(SimTime, u64, Msg)>>>,
-}
-
-impl Mailbox {
-    fn new(n: usize) -> Mailbox {
-        Mailbox {
-            n,
-            cells: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    #[inline]
-    fn push(&self, src: u32, dst: u32, at: SimTime, key: u64, msg: Msg) {
-        let cell = &self.cells[src as usize * self.n + dst as usize];
-        cell.lock().unwrap().push((at, key, msg));
-    }
-
-    fn is_empty(&self) -> bool {
-        self.cells.iter().all(|c| c.lock().unwrap().is_empty())
-    }
-}
-
 /// Immutable engine context handed to shard handlers: everything a shard
 /// may read while processing a window. Disjoint from any `&mut ShardCore`.
 struct EngCtx<'a> {
     services: &'a [ServiceRuntime],
     config: &'a WorldConfig,
     shard_of: &'a [u32],
-    mail: &'a Mailbox,
 }
 
 // ---------------------------------------------------------------------
@@ -314,6 +293,9 @@ struct ShardCore {
     pending_roots: u64,
     /// Root jobs currently alive on this shard.
     live_roots: u64,
+    /// Cross-shard messages `(dst, time, key, msg)` sent since the last
+    /// window barrier, which delivers them (see [`deliver_mail`]).
+    outbox: Vec<(u32, SimTime, u64, Msg)>,
     cpu_jobs_scratch: Vec<cluster::CpuJobId>,
     cpu_work_scratch: Vec<SlabKey>,
     #[cfg(feature = "audit")]
@@ -354,6 +336,7 @@ impl ShardCore {
             spans_created: 0,
             pending_roots: 0,
             live_roots: 0,
+            outbox: Vec::new(),
             cpu_jobs_scratch: Vec::new(),
             cpu_work_scratch: Vec::new(),
             #[cfg(feature = "audit")]
@@ -406,8 +389,8 @@ impl ShardCore {
         }
     }
 
-    fn install(&mut self, id: ReplicaId, rep: Replica, state: ReplicaState) {
-        let sid = rep.service;
+    fn install(&mut self, rep: Replica, state: ReplicaState) {
+        let (id, sid) = (rep.id, rep.service);
         let idx = id.get() as usize;
         if self.replica_lookup.len() <= idx {
             self.replica_lookup.resize(idx + 1, None);
@@ -506,24 +489,14 @@ impl ShardCore {
     // -- messaging ------------------------------------------------------
 
     /// Routes a message: same-shard messages go straight into the local
-    /// wheel; cross-shard messages ride the mailbox and are folded in at
-    /// the next window barrier. Conservative because cross-shard delivery
-    /// times are at least `now + lookahead`.
-    fn send_to_shard(&mut self, ctx: &EngCtx, at: SimTime, key: u64, dst: u32, msg: Msg) {
+    /// wheel; cross-shard messages wait in the outbox until the next window
+    /// barrier. Conservative because cross-shard delivery times are at
+    /// least `now + lookahead`.
+    fn send_to_shard(&mut self, at: SimTime, key: u64, dst: u32, msg: Msg) {
         if dst == self.idx {
             self.wheel.schedule(at, key, SEvent::Msg(msg));
         } else {
-            ctx.mail.push(self.idx, dst, at, key, msg);
-        }
-    }
-
-    fn drain_inbox(&mut self, ctx: &EngCtx) {
-        for src in 0..ctx.mail.n {
-            let cell = &ctx.mail.cells[src * ctx.mail.n + self.idx as usize];
-            let mut cell = cell.lock().unwrap();
-            for (at, key, msg) in cell.drain(..) {
-                self.wheel.schedule(at, key, SEvent::Msg(msg));
-            }
+            self.outbox.push((dst, at, key, msg));
         }
     }
 
@@ -596,7 +569,6 @@ impl ShardCore {
                         };
                         let rkey = self.fresh_key(call.target);
                         self.send_to_shard(
-                            ctx,
                             now + net,
                             rkey,
                             parent.shard,
@@ -809,7 +781,7 @@ impl ShardCore {
             issued,
         });
         let dst = ctx.shard_of[target.get() as usize];
-        self.send_to_shard(ctx, now + net, key, dst, msg);
+        self.send_to_shard(now + net, key, dst, msg);
     }
 
     fn on_reply(&mut self, ctx: &EngCtx, now: SimTime, to: ParentRef, spans: Option<Vec<Span>>) {
@@ -885,7 +857,6 @@ impl ShardCore {
             Some(parent) => {
                 let key = self.fresh_key(job.service);
                 self.send_to_shard(
-                    ctx,
                     now + net,
                     key,
                     parent.shard,
@@ -939,7 +910,6 @@ impl ShardCore {
                 };
                 let key = self.fresh_key(job.service);
                 self.send_to_shard(
-                    ctx,
                     now + net,
                     key,
                     parent.shard,
@@ -1245,22 +1215,34 @@ impl ShardCore {
 }
 
 // ---------------------------------------------------------------------
-// Window runners
+// Window loop
 // ---------------------------------------------------------------------
 
-/// Minimum estimated window count before a segment is worth threading.
-const PAR_MIN_WINDOWS: u64 = 4;
+/// Window barrier: moves every shard's outgoing cross-shard messages into
+/// the destination wheels. Each wheel orders by `(time, key)` with
+/// globally unique keys, so the delivery order is unobservable.
+fn deliver_mail(shards: &mut [ShardCore]) {
+    for src in 0..shards.len() {
+        let mut outbox = std::mem::take(&mut shards[src].outbox);
+        for (dst, at, key, msg) in outbox.drain(..) {
+            shards[dst as usize]
+                .wheel
+                .schedule(at, key, SEvent::Msg(msg));
+        }
+        shards[src].outbox = outbox;
+    }
+}
 
-/// Sequential window loop: interleaves shards window by window, following
-/// exactly the same window sequence (including window skips) as the
-/// threaded runner — which is what makes the two byte-identical.
+/// The window loop: runs every shard through window `[w, w + L)` in
+/// turn, delivers the window's cross-shard mail, then skips straight to
+/// the window holding the earliest pending event.
 ///
 /// Returns the segment's *critical-path* event count: the sum over windows
 /// of the maximum per-shard events dispatched in that window, i.e. the
-/// makespan (in events) of an idealised run with one core per shard. The
-/// threaded runner computes the identical number, so it is deterministic
-/// across both runners and usable as a portable parallelism metric.
-fn run_windows_seq(
+/// makespan (in events) of an idealised run with one core per shard — a
+/// portable, deterministic measure of the parallelism the schedule
+/// exposes.
+fn run_windows(
     shards: &mut [ShardCore],
     ctx: &EngCtx,
     seg_start: u64,
@@ -1282,9 +1264,7 @@ fn run_windows_seq(
             wmax = wmax.max(sc.events_dispatched - before);
         }
         crit += wmax;
-        for sc in shards.iter_mut() {
-            sc.drain_inbox(ctx);
-        }
+        deliver_mail(shards);
         let e = shards
             .iter()
             .map(ShardCore::earliest)
@@ -1296,72 +1276,6 @@ fn run_windows_seq(
         w = (w + 1).max((e - seg_start) / lookahead);
     }
     crit
-}
-
-/// Threaded window loop: one scoped worker per shard, two barriers per
-/// round (A: process window; B: drain inbox + agree on the earliest
-/// pending event so all workers skip empty windows identically).
-///
-/// Returns the same critical-path event count as [`run_windows_seq`].
-fn run_windows_par(
-    shards: &mut [ShardCore],
-    ctx: &EngCtx,
-    seg_start: u64,
-    end: u64,
-    lookahead: u64,
-) -> u64 {
-    let barrier = Barrier::new(shards.len());
-    // Double-buffered minimum/maximum, indexed by round parity. The
-    // *other* parity is reset between the two barriers of round `r`: every
-    // reader of that slot finished at round `r-1`'s second barrier (it
-    // must then reach round `r`'s first barrier before the resetter can
-    // pass it), so no race exists.
-    let earliest = [AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)];
-    let round_max = [AtomicU64::new(0), AtomicU64::new(0)];
-    let crit = AtomicU64::new(0);
-    let token = sim_core::allocmeter::current_scope();
-    std::thread::scope(|s| {
-        for (idx, sc) in shards.iter_mut().enumerate() {
-            let barrier = &barrier;
-            let earliest = &earliest;
-            let round_max = &round_max;
-            let crit = &crit;
-            s.spawn(move || {
-                let _adoption = sim_core::allocmeter::adopt(token);
-                let mut w: u64 = 0;
-                let mut round: usize = 0;
-                loop {
-                    let wstart = seg_start + w.saturating_mul(lookahead);
-                    if wstart >= end {
-                        break; // `w` is identical across workers: all break
-                    }
-                    let wend = (wstart + lookahead).min(end);
-                    let before = sc.events_dispatched;
-                    sc.process_window(ctx, wend);
-                    round_max[round & 1].fetch_max(sc.events_dispatched - before, Ordering::AcqRel);
-                    barrier.wait();
-                    sc.drain_inbox(ctx);
-                    earliest[round & 1].fetch_min(sc.earliest(), Ordering::AcqRel);
-                    earliest[(round + 1) & 1].store(u64::MAX, Ordering::Release);
-                    round_max[(round + 1) & 1].store(0, Ordering::Release);
-                    barrier.wait();
-                    if idx == 0 {
-                        crit.fetch_add(
-                            round_max[round & 1].load(Ordering::Acquire),
-                            Ordering::AcqRel,
-                        );
-                    }
-                    let e = earliest[round & 1].load(Ordering::Acquire);
-                    if e >= end {
-                        break; // identical `e` on every worker: all break
-                    }
-                    w = (w + 1).max((e - seg_start) / lookahead);
-                    round += 1;
-                }
-            });
-        }
-    });
-    crit.into_inner()
 }
 
 /// Processes the events at exactly the (inclusive) end of a span. All
@@ -1381,9 +1295,7 @@ fn run_tail(shards: &mut [ShardCore], ctx: &EngCtx, t: SimTime) -> u64 {
             rmax = rmax.max(sc.events_dispatched - before);
         }
         crit += rmax;
-        for sc in shards.iter_mut() {
-            sc.drain_inbox(ctx);
-        }
+        deliver_mail(shards);
         if !any {
             break;
         }
@@ -1405,7 +1317,7 @@ enum BarrierAction {
     Restart(ServiceId),
 }
 
-/// The sharded world engine: shard partition, mailbox, barrier schedule,
+/// The sharded world engine: shard partition, barrier schedule,
 /// merged global observables and the cluster bookkeeping that must stay
 /// centralised (placement, node pressure, request identity).
 pub(crate) struct ShardEngine {
@@ -1413,7 +1325,6 @@ pub(crate) struct ShardEngine {
     lookahead: u64,
     shard_of: Vec<u32>,
     shards: Vec<ShardCore>,
-    mail: Mailbox,
     clock: SimTime,
     barriers: BTreeMap<(u64, u64), BarrierAction>,
     barrier_seq: u64,
@@ -1467,13 +1378,11 @@ impl ShardEngine {
             .enumerate()
             .map(|(k, r)| ShardCore::new(k as u32, r, rng))
             .collect();
-        let mail = Mailbox::new(plan.len());
         Ok(Box::new(ShardEngine {
             config,
             lookahead,
             shard_of,
             shards,
-            mail,
             clock: SimTime::ZERO,
             barriers: BTreeMap::new(),
             barrier_seq: 0,
@@ -1564,39 +1473,23 @@ impl ShardEngine {
 
     // -- replica lifecycle ---------------------------------------------
 
-    /// Adopts a replica created by the classic engine before sharding was
-    /// enabled: fresh soft-resource state (nothing has run yet — enabling
-    /// is only legal at time zero) with the service's current limits.
-    /// Starting replicas get a fresh readiness event from the service's
-    /// own startup stream.
-    pub(crate) fn adopt_replica(
-        &mut self,
-        services: &[ServiceRuntime],
-        service: ServiceId,
-        id: ReplicaId,
-        state: ReplicaState,
-    ) {
-        let sid = service.get() as usize;
-        let rt = &services[sid];
-        let rep = Replica::new(
-            id,
-            service,
-            rt.cpu_limit,
-            rt.spec.csw_overhead,
-            rt.thread_limit,
-            &rt.conn_limits,
-            self.config.metrics_horizon,
-        );
+    /// Installs a replica on its service's shard: a fresh one from
+    /// [`ShardEngine::add_replica`], or one the classic engine built before
+    /// sharding was enabled, moved in as is (enabling is only legal at time
+    /// zero, so nothing has run on it). A starting replica gets its
+    /// readiness event from the service's own startup stream.
+    pub(crate) fn install_replica(&mut self, rep: Replica, state: ReplicaState) {
+        let (id, service) = (rep.id, rep.service);
         let idx = id.get() as usize;
         if self.replica_service.len() <= idx {
             self.replica_service.resize(idx + 1, u32::MAX);
         }
         self.replica_service[idx] = service.get();
-        let shard = self.shard_of[sid] as usize;
+        let shard = self.shard_of[service.get() as usize] as usize;
         let clock = self.clock;
         let ShardEngine { shards, config, .. } = self;
         let sc = &mut shards[shard];
-        sc.install(id, rep, state);
+        sc.install(rep, state);
         if state == ReplicaState::Starting {
             let delay = {
                 let svc = sc.svc_mut(service);
@@ -1635,23 +1528,7 @@ impl ShardEngine {
                 rep.cpu.set_pressure(self.clock, factor);
             }
         }
-        let idx = id.get() as usize;
-        if self.replica_service.len() <= idx {
-            self.replica_service.resize(idx + 1, u32::MAX);
-        }
-        self.replica_service[idx] = service.get();
-        let shard = self.shard_of[sid] as usize;
-        let clock = self.clock;
-        let ShardEngine { shards, config, .. } = self;
-        let sc = &mut shards[shard];
-        sc.install(id, rep, ReplicaState::Starting);
-        let delay = {
-            let svc = sc.svc_mut(service);
-            config.replica_startup.sample(&mut svc.rng)
-        };
-        let key = sc.fresh_key(service);
-        sc.wheel
-            .schedule(clock + delay, key, SEvent::ReplicaReady { replica: id });
+        self.install_replica(rep, ReplicaState::Starting);
         Ok(id)
     }
 
@@ -1710,14 +1587,12 @@ impl ShardEngine {
                 shards,
                 config,
                 shard_of,
-                mail,
                 ..
             } = self;
             let ctx = EngCtx {
                 services: &*services,
                 config,
                 shard_of,
-                mail,
             };
             for sc in shards.iter_mut() {
                 roots.extend(sc.kill_requests(&ctx, bt, &affected));
@@ -1772,14 +1647,12 @@ impl ShardEngine {
             shards,
             config,
             shard_of,
-            mail,
             ..
         } = self;
         let ctx = EngCtx {
             services: &*services,
             config,
             shard_of,
-            mail,
         };
         let sc = &mut shards[shard];
         let ids = sc.svc(service).replicas.clone();
@@ -1806,14 +1679,12 @@ impl ShardEngine {
             shards,
             config,
             shard_of,
-            mail,
             ..
         } = self;
         let ctx = EngCtx {
             services: &*services,
             config,
             shard_of,
-            mail,
         };
         let sc = &mut shards[shard];
         let ids = sc.svc(service).replicas.clone();
@@ -2111,7 +1982,6 @@ impl ShardEngine {
             shards,
             config,
             shard_of,
-            mail,
             lookahead,
             ..
         } = self;
@@ -2119,16 +1989,10 @@ impl ShardEngine {
             services,
             config,
             shard_of,
-            mail,
         };
         let mut crit: u64 = 0;
         if end > seg_start {
-            let est_windows = (end - seg_start).div_ceil(*lookahead);
-            crit += if shards.len() > 1 && est_windows >= PAR_MIN_WINDOWS {
-                run_windows_par(shards, &ctx, seg_start, end, *lookahead)
-            } else {
-                run_windows_seq(shards, &ctx, seg_start, end, *lookahead)
-            };
+            crit += run_windows(shards, &ctx, seg_start, end, *lookahead);
         }
         if inclusive {
             crit += run_tail(shards, &ctx, SimTime::from_nanos(end));
@@ -2242,7 +2106,7 @@ impl ShardEngine {
     pub(crate) fn is_quiescent(&self) -> bool {
         self.shards.iter().all(|s| s.wheel.is_empty())
             && self.barriers.is_empty()
-            && self.mail.is_empty()
+            && self.shards.iter().all(|s| s.outbox.is_empty())
     }
 
     pub(crate) fn cpu_busy_core_secs(
@@ -2274,7 +2138,7 @@ impl ShardEngine {
 
     /// Run-boundary audit: fold per-shard monotonicity violations into the
     /// global sink, check global request conservation (boundary-only: mid
-    /// -window mailbox buffering makes a per-event check meaningless), and
+    /// -window outbox buffering makes a per-event check meaningless), and
     /// run the throttled per-replica resource audits.
     #[cfg(feature = "audit")]
     fn audit_run_boundary(&mut self) {

@@ -293,7 +293,7 @@ pub struct World {
     dropped: u64,
     /// Total events dispatched (the `scale` bench's events/sec numerator).
     events_dispatched: u64,
-    /// The conservative-parallel sharded engine, when enabled via
+    /// The sharded engine, when enabled via
     /// [`World::enable_sharding`]. Once set, the classic event loop above
     /// is dormant and every public method delegates here.
     engine: Option<Box<ShardEngine>>,
@@ -437,11 +437,11 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Conservative-parallel sharding
+    // Sharding
     // ------------------------------------------------------------------
 
-    /// Enables the conservative-parallel sharded engine with `shards`
-    /// contiguous, evenly sized service partitions. See
+    /// Enables the sharded engine with `shards` contiguous, evenly sized
+    /// service partitions. See
     /// [`World::enable_sharding_with_plan`] for semantics and errors.
     pub fn enable_sharding(&mut self, shards: usize) -> Result<(), ShardError> {
         let n = self.services.len();
@@ -451,13 +451,17 @@ impl World {
         self.enable_sharding_with_plan(&plan)
     }
 
-    /// Enables the conservative-parallel sharded engine with an explicit
-    /// partition plan (contiguous, non-empty service ranges covering every
-    /// service). Must be called on a pristine world: topology built (all
-    /// services, request types and replicas added), but before any
-    /// injection, simulation, network installation or fault installation.
+    /// Enables the sharded engine with an explicit partition plan
+    /// (contiguous, non-empty service ranges covering every service). Must
+    /// be called on a pristine world: topology built (all services,
+    /// request types and replicas added), but before any injection,
+    /// simulation, network installation or fault installation. The built
+    /// replicas move into their shards as they are.
     ///
-    /// The sharded engine is a distinct, self-consistent engine family:
+    /// The engine runs the shards in turn on the calling thread, through
+    /// conservative lookahead windows as wide as `net_delay`'s lower bound;
+    /// cross-shard calls and replies are delivered at window barriers.
+    /// It is a distinct, self-consistent engine family:
     /// runs are byte-identical across shard counts (`shards = 1` is the
     /// family's sequential oracle), but not to the classic engine. Classic
     /// replica start-up events queued before the switch are discarded and
@@ -468,7 +472,7 @@ impl World {
     /// [`ShardError`] when the world already has an engine, a network, a
     /// fault schedule or simulated history; when the plan is not a
     /// contiguous cover; or when `net_delay` has a zero lower bound (no
-    /// lookahead to parallelise under).
+    /// lookahead window to advance shards by).
     pub fn enable_sharding_with_plan(&mut self, plan: &[Range<usize>]) -> Result<(), ShardError> {
         if self.engine.is_some() {
             return Err(ShardError::AlreadySharded);
@@ -499,25 +503,25 @@ impl World {
         )
         .expect("validated above");
         engine.set_next_replica(self.next_replica);
-        // Adopt live replicas in service order, then creation order. The
-        // classic queue's pending ReplicaReady events are discarded; the
-        // engine redraws start-up delays from per-service streams.
-        for sid in 0..self.services.len() {
-            let service = ServiceId(sid as u32);
-            let ids = self.services[sid].replicas.clone();
-            for id in ids {
-                let state = self.state_of(id).expect("live replica");
-                engine.adopt_replica(&self.services, service, id, state);
+        // Move the built replicas into their shards in service order, then
+        // creation order. The classic queue's pending ReplicaReady events
+        // are discarded; the engine redraws start-up delays from
+        // per-service streams.
+        for svc in &mut self.services {
+            for id in std::mem::take(&mut svc.replicas) {
+                let key = self.replica_lookup[id.get() as usize]
+                    .take()
+                    .expect("live replica");
+                let state = self.replica_states[key.index() as usize];
+                let rep = self.replicas.remove(key).expect("live replica");
+                engine.install_replica(rep, state);
             }
+            svc.rr = 0;
         }
         self.queue = EventQueue::new();
         self.replicas = Slab::new();
         self.replica_lookup.clear();
         self.replica_states.clear();
-        for svc in &mut self.services {
-            svc.replicas.clear();
-            svc.rr = 0;
-        }
         self.engine = Some(engine);
         Ok(())
     }

@@ -1,49 +1,26 @@
-//! Thread-aware allocation metering.
+//! Per-thread allocation metering.
 //!
-//! The `scale` bench counts heap allocations per simulated request through a
-//! counting [`std::alloc::GlobalAlloc`]. With a single-threaded engine a pair
-//! of thread-local counters was enough; once a world may fan event execution
-//! across worker threads, allocations made *by those workers* have to be
-//! credited back to the measurement that spawned them — without letting two
-//! concurrent measurements (e.g. sweep jobs at `--jobs 4`) bleed into each
-//! other.
-//!
-//! The design is a scope ledger:
+//! The `scale` bench and the perf ledger count heap allocations per
+//! simulated request through a counting [`std::alloc::GlobalAlloc`]. The
+//! simulator executes a world on the thread that drives it, so a pair of
+//! thread-local counters is all the bookkeeping a measurement needs:
 //!
 //! * Every thread owns lock-free thread-local counters, bumped by
 //!   [`note_alloc`] from the global allocator hook. The hot path is two
 //!   `Cell` increments — no atomics, no branches on shared state.
-//! * A measurement opens a [`Scope`], which grabs one of a fixed pool of
-//!   atomic fold slots and remembers the thread-local baseline.
-//! * Worker threads spawned on behalf of that measurement call [`adopt`]
-//!   with the scope's [`ScopeToken`]; when the returned [`Adoption`] guard
-//!   drops (at worker exit, before the spawning `thread::scope` joins), the
-//!   worker's thread-local delta is folded into the scope's slot.
-//! * [`Scope::finish`] reports the opening thread's delta plus everything
-//!   folded in by adopted workers.
+//! * A measurement opens a [`Scope`], which remembers the calling thread's
+//!   counters; [`Scope::finish`] reports the delta since then.
 //!
-//! Because each scope folds into its own slot and each thread's counters are
-//! private until folded, concurrent scopes on different threads stay fully
-//! isolated: a job measured alone and the same job measured next to three
-//! neighbours report identical numbers.
+//! Because each thread's counters are private, concurrent measurements on
+//! different threads (e.g. sweep jobs at `--jobs 4`) stay fully isolated: a
+//! job measured alone and the same job measured next to three neighbours
+//! report identical numbers. Scopes on one thread may nest.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Number of concurrently open scopes supported. Sweep jobs cap out far
-/// below this; exceeding it panics rather than silently mis-attributing.
-const SLOTS: usize = 64;
-
-static SLOT_BYTES: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
-static SLOT_COUNT: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
-/// Bitmap of slots currently owned by a live [`Scope`].
-static IN_USE: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TL_BYTES: Cell<u64> = const { Cell::new(0) };
     static TL_COUNT: Cell<u64> = const { Cell::new(0) };
-    /// The scope this thread currently contributes to, if any.
-    static TL_SCOPE: Cell<Option<u16>> = const { Cell::new(None) };
 }
 
 /// Records one allocation of `bytes` bytes on the calling thread.
@@ -66,20 +43,6 @@ pub struct AllocStats {
     pub count: u64,
 }
 
-/// A copyable handle naming an open scope, passed to worker threads so they
-/// can [`adopt`] it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScopeToken(u16);
-
-/// The scope token the calling thread currently contributes to, if any.
-///
-/// Code that spawns worker threads on behalf of an ongoing measurement
-/// captures this before spawning and hands it to each worker.
-#[inline]
-pub fn current_scope() -> Option<ScopeToken> {
-    TL_SCOPE.try_with(Cell::get).ok().flatten().map(ScopeToken)
-}
-
 fn tl_snapshot() -> (u64, u64) {
     (
         TL_BYTES.try_with(Cell::get).unwrap_or(0),
@@ -89,108 +52,28 @@ fn tl_snapshot() -> (u64, u64) {
 
 /// An open measurement region on the current thread.
 pub struct Scope {
-    slot: u16,
     base_bytes: u64,
     base_count: u64,
-    prev: Option<u16>,
 }
 
 impl Scope {
-    /// Opens a scope: acquires a fold slot and snapshots the calling
-    /// thread's counters. Panics if more than [`SLOTS`] scopes are open.
+    /// Opens a scope: snapshots the calling thread's counters.
     pub fn begin() -> Scope {
-        let slot = loop {
-            let used = IN_USE.load(Ordering::Acquire);
-            let free = (!used).trailing_zeros() as usize;
-            assert!(free < SLOTS, "allocmeter: too many concurrent scopes");
-            let bit = 1u64 << free;
-            if IN_USE
-                .compare_exchange(used, used | bit, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break free as u16;
-            }
-        };
-        SLOT_BYTES[slot as usize].store(0, Ordering::Relaxed);
-        SLOT_COUNT[slot as usize].store(0, Ordering::Relaxed);
         let (base_bytes, base_count) = tl_snapshot();
-        let prev = TL_SCOPE.try_with(|c| c.replace(Some(slot))).ok().flatten();
         Scope {
-            slot,
             base_bytes,
             base_count,
-            prev,
         }
     }
 
-    /// The token worker threads use to [`adopt`] this scope.
-    pub fn token(&self) -> ScopeToken {
-        ScopeToken(self.slot)
-    }
-
-    /// Closes the scope and returns the totals: the opening thread's delta
-    /// plus everything adopted workers folded in. All workers must have
-    /// exited (dropped their [`Adoption`]) before this is called — scoped
-    /// threads guarantee that by construction.
+    /// Closes the scope and returns the calling thread's allocations since
+    /// [`Scope::begin`].
     pub fn finish(self) -> AllocStats {
         let (now_bytes, now_count) = tl_snapshot();
-        let folded_bytes = SLOT_BYTES[self.slot as usize].load(Ordering::Acquire);
-        let folded_count = SLOT_COUNT[self.slot as usize].load(Ordering::Acquire);
-        let _ = TL_SCOPE.try_with(|c| c.set(self.prev));
-        IN_USE.fetch_and(!(1u64 << self.slot), Ordering::AcqRel);
         AllocStats {
-            bytes: now_bytes
-                .wrapping_sub(self.base_bytes)
-                .wrapping_add(folded_bytes),
-            count: now_count
-                .wrapping_sub(self.base_count)
-                .wrapping_add(folded_count),
+            bytes: now_bytes.wrapping_sub(self.base_bytes),
+            count: now_count.wrapping_sub(self.base_count),
         }
-    }
-}
-
-/// A worker thread's membership in a scope; folding happens on drop.
-pub struct Adoption {
-    slot: Option<u16>,
-    base_bytes: u64,
-    base_count: u64,
-    prev: Option<u16>,
-}
-
-/// Joins the calling (worker) thread to `token`'s scope. When the returned
-/// guard drops, the thread's allocation delta since adoption is folded into
-/// the scope. Passing `None` returns an inert guard, so spawners can simply
-/// forward [`current_scope`]'s result.
-pub fn adopt(token: Option<ScopeToken>) -> Adoption {
-    match token {
-        None => Adoption {
-            slot: None,
-            base_bytes: 0,
-            base_count: 0,
-            prev: None,
-        },
-        Some(ScopeToken(slot)) => {
-            let (base_bytes, base_count) = tl_snapshot();
-            let prev = TL_SCOPE.try_with(|c| c.replace(Some(slot))).ok().flatten();
-            Adoption {
-                slot: Some(slot),
-                base_bytes,
-                base_count,
-                prev,
-            }
-        }
-    }
-}
-
-impl Drop for Adoption {
-    fn drop(&mut self) {
-        let Some(slot) = self.slot else { return };
-        let (now_bytes, now_count) = tl_snapshot();
-        SLOT_BYTES[slot as usize]
-            .fetch_add(now_bytes.wrapping_sub(self.base_bytes), Ordering::AcqRel);
-        SLOT_COUNT[slot as usize]
-            .fetch_add(now_count.wrapping_sub(self.base_count), Ordering::AcqRel);
-        let _ = TL_SCOPE.try_with(|c| c.set(self.prev));
     }
 }
 
@@ -214,34 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn workers_fold_into_adopting_scope() {
-        let scope = Scope::begin();
-        note_alloc(10);
-        let token = scope.token();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(move || {
-                    let _guard = adopt(Some(token));
-                    note_alloc(5);
-                });
-            }
-        });
-        let stats = scope.finish();
-        assert_eq!(
-            stats,
-            AllocStats {
-                bytes: 30,
-                count: 5
-            }
-        );
-    }
-
-    #[test]
-    fn unadopted_threads_do_not_leak_into_scope() {
+    fn other_threads_do_not_leak_into_scope() {
         let scope = Scope::begin();
         std::thread::scope(|s| {
             s.spawn(|| {
-                // No adopt(): this thread's allocations are invisible.
                 note_alloc(1_000_000);
             });
         });
@@ -278,18 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn none_adoption_is_inert() {
-        let _guard = adopt(None);
+    fn nested_scopes_each_see_their_own_delta() {
+        let outer = Scope::begin();
+        note_alloc(5);
+        let inner = Scope::begin();
         note_alloc(3);
-    }
-
-    #[test]
-    fn current_scope_propagates_and_restores() {
-        let before = current_scope();
-        let scope = Scope::begin();
-        let token = scope.token();
-        assert_eq!(current_scope(), Some(token));
-        scope.finish();
-        assert_eq!(current_scope(), before);
+        assert_eq!(inner.finish(), AllocStats { bytes: 3, count: 1 });
+        assert_eq!(outer.finish(), AllocStats { bytes: 8, count: 2 });
     }
 }

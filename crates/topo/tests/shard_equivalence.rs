@@ -14,7 +14,7 @@ use microsim::{BlackoutMode, Completion, DropReason, FaultSchedule, WorldConfig}
 use proptest::prelude::*;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use telemetry::{RequestId, ServiceId};
-use topo::{build, TopoParams};
+use topo::{build, TopoParams, Topology};
 
 use cluster::NodeId;
 
@@ -76,9 +76,9 @@ impl Faults {
     }
 }
 
-/// Drives one sharded world to quiescence under a deterministic injection
-/// schedule derived from `params.seed`.
-fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
+/// Builds one sharded world with its fault schedule installed and a
+/// deterministic injection schedule derived from `params.seed` queued.
+fn prepare(params: &TopoParams, shards: usize, faults: Faults) -> Topology {
     let config = WorldConfig {
         replica_startup: Dist::constant_us(0),
         ..WorldConfig::default()
@@ -97,6 +97,12 @@ fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
         let rt = t.request_types[(i % params.request_types as u64) as usize];
         t.world.inject_at(SimTime::from_millis(at), rt);
     }
+    t
+}
+
+/// Drives one prepared sharded world to quiescence.
+fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
+    let mut t = prepare(params, shards, faults);
     let done = t.world.run_until(SimTime::from_secs(120));
     assert!(t.world.is_quiescent(), "run must drain ({params:?})");
     let traces = serde_json::to_string(&t.world.warehouse().iter().collect::<Vec<_>>())
@@ -151,6 +157,37 @@ fn crash_with_restart_is_shard_count_invariant() {
         ..TopoParams::sock_shop_like(24)
     };
     assert_equivalent(&params, 4, faults);
+}
+
+/// The window schedule itself, pinned: total and critical-path event
+/// counts of one fixed world (crash with restart, CPU pressure, lagged
+/// telemetry) at two shard counts. The critical path — the sum over
+/// lookahead windows of the busiest shard's dispatches — is what the
+/// ledger reports as `microsim.shard_parallelism` and what `par_scale`
+/// gates on, so any change to window boundaries, window skipping or the
+/// per-window tally shows up here as an exact mismatch.
+#[test]
+fn window_schedule_is_pinned() {
+    let faults = Faults {
+        crash_service: Some(2),
+        crash_at_ms: 30,
+        restart_after_ms: Some(50),
+        pressure: true,
+        blackout_lag: Some(true),
+    };
+    let params = TopoParams {
+        timeout: Some(SimDuration::from_millis(60)),
+        ..TopoParams::sock_shop_like(24)
+    };
+    for (shards, events, critical_path) in [(2usize, 4461u64, 3290u64), (4, 4461, 2536)] {
+        let mut t = prepare(&params, shards, faults);
+        t.world.run_until(SimTime::from_secs(120));
+        assert_eq!(
+            (t.world.events_dispatched(), t.world.critical_path_events()),
+            (events, critical_path),
+            "shards={shards}: (events, critical-path events)"
+        );
+    }
 }
 
 proptest! {

@@ -127,6 +127,13 @@ except AssertionError as e:
     sys.exit(f"BENCH_par_scale.json schema drift: {e}")
 EOF
 
+echo "==> perf ledger tests (smoke correctness gate on all six workloads, metric names)"
+# The benchmark's own tests: every workload (wide-sharded included) runs
+# its --smoke pass through the ledger's correctness gate, and the metric
+# names and units must match BENCHMARK.json. The ledger is a workspace of
+# its own (ledger/Cargo.toml), so no step above builds or tests it.
+cargo test --release --offline --manifest-path ledger/Cargo.toml
+
 echo "==> net_resilience smoke (network substrate, determinism across --jobs, audited)"
 # Partition-heal, slow-link, retry-storm, and reordered-telemetry scenarios
 # over the message-passing network, fully audited (loss, duplication, and
