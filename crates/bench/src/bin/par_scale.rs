@@ -1,21 +1,20 @@
-//! Scaling of the sharded world engine (DESIGN §14).
+//! Scaling of the shard tally (DESIGN §14).
 //!
 //! One 5000-service sock-shop-like world is driven through identical
-//! open-loop request schedules under shard counts 1, 2 and 4 — shards = 1
-//! being the engine family's sequential baseline — and every run must
-//! produce **identical counters** (completions, drops, events, spans, the
-//! p99 bit pattern): the conservative window protocol is deterministic by
-//! construction, and this binary asserts it at full scale.
+//! open-loop request schedules under shard counts 1, 2 and 4, and every
+//! run must produce **identical counters** (completions, drops, events,
+//! spans, the p99 bit pattern): sharding only tallies the one event
+//! loop's lookahead windows by shard, and this binary asserts at full
+//! scale that the tally changes no simulation byte.
 //!
 //! Two speedups are reported per shard count:
 //!
-//! * `wall_speedup` — measured events/sec against the shards = 1 run.
-//!   Every shard count runs its windows on the calling thread, so this is
-//!   the host cost of the window schedule itself; reported, not asserted.
+//! * `wall_speedup` — measured events/sec against the shards = 1 run: the
+//!   host cost of the tally itself; reported, not asserted.
 //! * `critical_path_speedup` — `events / critical_path_events`, where the
-//!   critical path is the sum over lookahead windows of the *maximum*
-//!   per-shard dispatch count (the makespan with one core per shard).
-//!   This is the parallelism the window schedule itself exposes,
+//!   critical path is the sum over lookahead windows of the busiest
+//!   shard's dispatches, plus every event no service owns. This is the
+//!   parallelism one event stream exposes when split by service,
 //!   independent of host core count, and is asserted ≥ 1.5 at 4 shards.
 //!
 //! `--smoke` runs a small audited world (500 services) under a canned
@@ -123,8 +122,7 @@ struct RunOutput {
 fn fault_schedule() -> FaultSchedule {
     // Mid-tier crash (layer 1 starts at service id 1 for depth-5 shapes)
     // restarted 300 ms later, a half-speed CPU window on the first node,
-    // and a lagging-collector blackout — all three coordinator barrier
-    // kinds the sharded engine supports.
+    // and a lagging-collector blackout.
     FaultSchedule::new()
         .crash(
             SimTime::from_millis(900),
@@ -295,10 +293,7 @@ fn main() {
     for &n in shard_counts {
         let r = run_point(p, n);
         let identical = runs.is_empty() || r.counters == runs[0].counters;
-        assert!(
-            identical,
-            "shards={n} diverged from the sequential baseline"
-        );
+        assert!(identical, "shards={n} diverged from the one-shard run");
         if n == 1 {
             // With one shard every window's max is its total: the critical
             // path must be the whole event stream.
@@ -331,7 +326,7 @@ fn main() {
             wall_secs: r.wall_secs,
         });
     }
-    print_table("par_scale: sharded engine scaling (5000 services)", &table);
+    print_table("par_scale: shard tally scaling (5000 services)", &table);
 
     let at4 = runs
         .iter()

@@ -354,13 +354,12 @@ pub struct ScenarioSpec {
     /// Social Network: flip to heavy reads at this second.
     #[serde(default)]
     pub drift_at_secs: Option<u64>,
-    /// World-engine shard count (DESIGN §14): `1` runs the sharded
-    /// engine's sequential oracle, `N` partitions services across `N`
-    /// shards advanced in lookahead windows — byte-identical outputs
-    /// either way. Omitted
-    /// (the default) keeps the classic single-wheel engine. Values are
-    /// clamped to the app's service count at build time; `0` and values
-    /// above 64 are rejected at parse time. Incompatible with `net`.
+    /// Shard tally (DESIGN §14): partitions services across `N` shards
+    /// and tallies the event loop's lookahead windows by shard, which
+    /// only sets `critical_path_events`; results are byte-identical to
+    /// the omitted default. Values are clamped to the app's service count
+    /// at build time; `0` and values above 64 are rejected at parse time,
+    /// as is a `net` without edge latency (no window width).
     #[serde(default)]
     pub shards: Option<usize>,
     /// Generated app: total services in the topology. Required for (and
@@ -375,8 +374,7 @@ pub struct ScenarioSpec {
     /// Client retry policy (bounded, budgeted exponential backoff).
     #[serde(default)]
     pub retry: Option<RetrySpec>,
-    /// Message-passing network between services (DESIGN §13).
-    /// Incompatible with `shards`.
+    /// Message-passing network between services (DESIGN §12).
     #[serde(default)]
     pub net: Option<NetSpec>,
     /// Fault schedule, gated through [`FaultSchedule::validate_within`].
@@ -711,11 +709,11 @@ impl ScenarioSpec {
             }
         }
         if let Some(net) = &self.net {
-            if self.shards.is_some() {
+            if self.shards.is_some() && net.latency_us.unwrap_or(0) == 0 {
                 return Err(invalid(
-                    "net",
-                    "the message-passing network is incompatible with the \
-                     sharded engine; drop `shards` or `net`"
+                    "net.latency_us",
+                    "the shard tally's window is the network's edge \
+                     latency, so `shards` needs a positive one"
                         .to_string(),
                 ));
             }
@@ -1066,21 +1064,18 @@ impl ScenarioSpec {
         };
         let mut world = world;
         if let Some(net) = &self.net {
-            // `validate` rejects net + shards, so the world still runs the
-            // classic engine here.
             world.install_network(net.network_config());
         }
         if let Some(n) = self.shards {
             // Validated to 1..=64 by `validate`; the app's service count
-            // is the remaining physical ceiling.
+            // is the remaining physical ceiling. Enabled after the
+            // network, whose lookahead becomes the tally's window width.
             let n = n.clamp(1, world.service_count());
             world
                 .enable_sharding(n)
                 .expect("freshly built world accepts sharding");
         }
         if !self.faults.is_empty() {
-            // Installed after `enable_sharding` so sharded runs get their
-            // faults as coordinator barriers.
             world
                 .install_faults(self.fault_schedule())
                 .expect("validated by ScenarioSpec::validate");
@@ -1540,11 +1535,12 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("overlapping"));
-        // net + shards cannot coexist (the network asserts the classic
-        // engine at install time; reject it here instead of panicking).
-        let spec = ScenarioSpec {
+        // net + shards compose, but only over a network with edge latency:
+        // its lookahead is the shard tally's window width, and a zero
+        // width would fail `enable_sharding` inside `build`.
+        let with_latency = |latency_us| ScenarioSpec {
             net: Some(NetSpec {
-                latency_us: Some(100),
+                latency_us,
                 loss: None,
                 duplicate: None,
                 call_timeout_ms: None,
@@ -1553,10 +1549,15 @@ mod tests {
             shards: Some(2),
             ..base()
         };
-        assert!(matches!(
-            spec.validate().unwrap_err(),
-            ScenarioError::InvalidValue { field, .. } if field == "net"
-        ));
+        for latency_us in [None, Some(0)] {
+            assert!(matches!(
+                with_latency(latency_us).validate().unwrap_err(),
+                ScenarioError::InvalidValue { field, .. } if field == "net.latency_us"
+            ));
+        }
+        with_latency(Some(100))
+            .validate()
+            .expect("net with latency + shards is valid");
     }
 
     #[test]
@@ -1643,21 +1644,21 @@ mod tests {
 
     #[test]
     fn sharded_scenario_is_shard_count_invariant() {
-        // The sharded engine's sequential oracle (shards = 1) and a
-        // 2-shard run must produce byte-identical result payloads; a
-        // shard count above the app's service count clamps instead of
-        // failing.
-        let run_text = |shards: usize| {
+        // Any shard count reproduces the unsharded result payload byte for
+        // byte; a shard count above the app's service count clamps
+        // instead of failing.
+        let run_text = |shards: Option<usize>| {
             let spec = ScenarioSpec {
-                shards: Some(shards),
+                shards,
                 duration_secs: 10,
                 ..base()
             };
             spec.validate().expect("valid spec");
             scenario_result_text(&base(), &spec.run())
         };
-        let oracle = run_text(1);
-        assert_eq!(oracle, run_text(2), "2-shard run diverged from oracle");
-        assert_eq!(oracle, run_text(64), "clamped run diverged from oracle");
+        let unsharded = run_text(None);
+        for shards in [1, 2, 64] {
+            assert_eq!(unsharded, run_text(Some(shards)), "shards={shards}");
+        }
     }
 }

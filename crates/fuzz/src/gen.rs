@@ -180,9 +180,8 @@ pub fn generate(seed: u64) -> ScenarioSpec {
         accept(&mut spec, |s| s.retry = Some(retry));
     }
 
-    // Network XOR shards: the message-passing substrate is incompatible
-    // with the sharded engine, and validate enforces it — the generator
-    // just draws both and lets the gate arbitrate the order it tried.
+    // Network and shards, each through the gate (which rejects shards
+    // over a network without edge latency).
     if rng.chance(0.35) {
         let net = NetSpec {
             latency_us: Some(int(&mut rng, 50, 2_000)),
@@ -254,8 +253,8 @@ mod tests {
         assert!(specs.iter().any(|s| s.net.is_some()));
         assert!(specs.iter().any(|s| s.shards.is_some()));
         assert!(specs.iter().any(|s| s.drift_at_secs.is_some()));
-        // The net-XOR-shards rule holds corpus-wide.
-        assert!(specs.iter().all(|s| s.net.is_none() || s.shards.is_none()));
+        // Network and shards compose.
+        assert!(specs.iter().any(|s| s.net.is_some() && s.shards.is_some()));
         // Network faults only appear alongside a network.
         use sora_bench::config::FaultSpec;
         assert!(specs.iter().all(|s| {

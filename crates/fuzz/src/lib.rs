@@ -2,8 +2,8 @@
 //!
 //! PRs 4–9 stacked up exactly the machinery property-based testing needs:
 //! a conservation-law audit (`--features audit`) that renders a verdict on
-//! any finished run, a shard-count equivalence family (`shards = 1` is the
-//! sequential oracle), and the metamorphic invariances of
+//! any finished run, a shard tally that must leave every result byte
+//! unchanged, and the metamorphic invariances of
 //! `tests/metamorphic.rs` (time translation, replica-spawn permutation).
 //! This crate composes them into a standing search:
 //!
@@ -16,7 +16,7 @@
 //!    generator trusts the production gate rather than private knowledge.
 //! 2. [`check`] runs the spec through the oracle stack: panic-free
 //!    execution, `parse(emit(spec))` round-trip plus canon-key stability,
-//!    a clean audit verdict, shard-count invariance (1 vs 4), and — for
+//!    a clean audit verdict, shard invariance (unsharded vs 4), and — for
 //!    generated topologies — time translation and replica-permutation at
 //!    the world level.
 //! 3. On a violation, [`shrink`] delta-debugs the spec (drop faults, halve

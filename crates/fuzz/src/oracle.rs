@@ -10,8 +10,8 @@
 //!    (observed via `catch_unwind`, surfaced as a violation);
 //! 4. **audit** — with `--features audit`, the run's conservation-law
 //!    verdict must be clean;
-//! 5. **shard_invariance** — `shards = 1` (the sequential oracle) and
-//!    `shards = 4` must produce byte-identical result payloads;
+//! 5. **shard_invariance** — the spec run unsharded and at `shards = 4`
+//!    must produce byte-identical result payloads;
 //! 6. **time_translation** / **replica_permutation** — for generated
 //!    topologies, the world-level metamorphic invariances of
 //!    `tests/metamorphic.rs`, with the spec's own fault schedule riding
@@ -153,30 +153,32 @@ fn check_run(spec: &ScenarioSpec) -> Option<Violation> {
     None
 }
 
-/// Shard-count invariance: `shards = 1` is the engine family's sequential
-/// oracle; the same spec at 4 shards must reproduce its payload exactly.
+/// Shard invariance: the shard tally only counts, so the spec at 4 shards
+/// must reproduce the never-sharded payload exactly. Skipped when the gate
+/// rejects the 4-shard variant (a network without edge latency).
 fn check_shard_invariance(spec: &ScenarioSpec) -> Option<Violation> {
-    if spec.net.is_some() {
-        return None; // the network requires the classic engine
-    }
-    let with_shards = |n: usize| ScenarioSpec {
-        shards: Some(n),
+    let with_shards = |shards| ScenarioSpec {
+        shards,
         ..spec.clone()
     };
-    let oracle = match comparable_text(&with_shards(1)) {
+    let sharded_spec = with_shards(Some(4));
+    if sharded_spec.validate().is_err() {
+        return None;
+    }
+    let unsharded = match comparable_text(&with_shards(None)) {
         Ok(t) => t,
         Err(v) => return Some(v),
     };
-    let sharded = match comparable_text(&with_shards(4)) {
+    let sharded = match comparable_text(&sharded_spec) {
         Ok(t) => t,
         Err(v) => return Some(v),
     };
-    if oracle != sharded {
+    if unsharded != sharded {
         return Some(Violation {
             oracle: "shard_invariance",
             detail: format!(
-                "shards=1 vs shards=4 diverged: {}",
-                first_divergence(&oracle, &sharded)
+                "unsharded vs shards=4 diverged: {}",
+                first_divergence(&unsharded, &sharded)
             ),
         });
     }

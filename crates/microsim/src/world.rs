@@ -4,7 +4,7 @@ use crate::config::{LbPolicy, RequestTypeSpec, ServiceSpec, Stage, WorldConfig};
 use crate::faults::{BlackoutMode, FaultKind, FaultSchedule, FaultScheduleError};
 use crate::replica::{ConnWaiter, Replica, ReplicaState};
 use crate::request::{Frame, FrameIdx, RequestState};
-use crate::shard::{ShardEngine, ShardError};
+use crate::shard::{ShardError, ShardTally};
 use cluster::{ClusterState, CpuJobId, Millicores, NodeId, PlacementError};
 use net::{Endpoint, Network, NetworkConfig, SendOutcome};
 use serde::{Deserialize, Serialize};
@@ -71,7 +71,7 @@ pub struct DropBreakdown {
 }
 
 impl DropBreakdown {
-    pub(crate) fn count(&mut self, reason: DropReason) {
+    fn count(&mut self, reason: DropReason) {
         match reason {
             DropReason::Refused => self.refused += 1,
             DropReason::ReplicaFailed => self.replica_failed += 1,
@@ -183,21 +183,19 @@ enum Event {
     },
 }
 
-pub(crate) struct ServiceRuntime {
-    pub(crate) spec: ServiceSpec,
+struct ServiceRuntime {
+    spec: ServiceSpec,
     /// All replica ids ever assigned to this service that still exist.
-    /// With the sharded engine enabled this list is owned by the shard
-    /// cores instead and stays empty here.
-    pub(crate) replicas: Vec<ReplicaId>,
+    replicas: Vec<ReplicaId>,
     /// Round-robin cursor.
-    pub(crate) rr: usize,
+    rr: usize,
     /// Current (mutable) settings; new replicas inherit these.
-    pub(crate) cpu_limit: Millicores,
-    pub(crate) thread_limit: usize,
-    pub(crate) conn_limits: BTreeMap<ServiceId, usize>,
+    cpu_limit: Millicores,
+    thread_limit: usize,
+    conn_limits: BTreeMap<ServiceId, usize>,
     /// Busy core-nanoseconds carried over from removed replicas, so the
     /// service-level counter stays monotone across scale-downs.
-    pub(crate) retired_busy_nanos: f64,
+    retired_busy_nanos: f64,
 }
 
 /// The discrete-event microservice cluster simulator.
@@ -293,13 +291,10 @@ pub struct World {
     dropped: u64,
     /// Total events dispatched (the `scale` bench's events/sec numerator).
     events_dispatched: u64,
-    /// The sharded engine, when enabled via
-    /// [`World::enable_sharding`]. Once set, the classic event loop above
-    /// is dormant and every public method delegates here.
-    engine: Option<Box<ShardEngine>>,
-    /// Whether a fault schedule was installed (sharding must be enabled
-    /// before faults so the schedule lands in the barrier queue).
-    faults_installed: bool,
+    /// The shard tally, when enabled via [`World::enable_sharding`]: the
+    /// event loop then pops in lookahead windows and tallies each
+    /// window's dispatches by shard.
+    tally: Option<ShardTally>,
     /// Conservation-law violations observed during dispatch. Audit-only
     /// state: never serialized, never read by simulation logic.
     #[cfg(feature = "audit")]
@@ -353,8 +348,7 @@ impl World {
             next_span: 0,
             dropped: 0,
             events_dispatched: 0,
-            engine: None,
-            faults_installed: false,
+            tally: None,
             #[cfg(feature = "audit")]
             audit_sink: sim_core::audit::CountingSink::new(),
             #[cfg(feature = "audit")]
@@ -367,12 +361,7 @@ impl World {
     /// Adds a node with the given CPU capacity. If no node is ever added, a
     /// first placement lazily creates a huge default node.
     pub fn add_node(&mut self, capacity: Millicores) {
-        match self.engine.as_mut() {
-            Some(e) => e.add_node(capacity),
-            None => {
-                self.cluster.add_node(capacity);
-            }
-        }
+        self.cluster.add_node(capacity);
     }
 
     /// Registers a service, returning its id.
@@ -383,7 +372,7 @@ impl World {
     /// the service set).
     pub fn add_service(&mut self, spec: ServiceSpec) -> ServiceId {
         assert!(
-            self.engine.is_none(),
+            self.tally.is_none(),
             "add_service: topology is frozen once sharding is enabled"
         );
         let id = ServiceId(self.services.len() as u32);
@@ -413,10 +402,6 @@ impl World {
         entry: ServiceId,
         timeout: Option<SimDuration>,
     ) -> RequestTypeId {
-        assert!(
-            self.engine.is_none(),
-            "add_request_type: topology is frozen once sharding is enabled"
-        );
         let id = RequestTypeId(self.request_types.len() as u32);
         self.request_types.push(RequestTypeSpec {
             name: name.into(),
@@ -430,17 +415,14 @@ impl World {
 
     /// The current simulated instant (the `run_until` high-water mark).
     pub fn now(&self) -> SimTime {
-        match &self.engine {
-            Some(e) => e.now(),
-            None => self.clock.max(self.queue.now()),
-        }
+        self.clock.max(self.queue.now())
     }
 
     // ------------------------------------------------------------------
     // Sharding
     // ------------------------------------------------------------------
 
-    /// Enables the sharded engine with `shards` contiguous, evenly sized
+    /// Enables the shard tally with `shards` contiguous, evenly sized
     /// service partitions. See
     /// [`World::enable_sharding_with_plan`] for semantics and errors.
     pub fn enable_sharding(&mut self, shards: usize) -> Result<(), ShardError> {
@@ -451,91 +433,48 @@ impl World {
         self.enable_sharding_with_plan(&plan)
     }
 
-    /// Enables the sharded engine with an explicit partition plan
-    /// (contiguous, non-empty service ranges covering every service). Must
-    /// be called on a pristine world: topology built (all services,
-    /// request types and replicas added), but before any injection,
-    /// simulation, network installation or fault installation. The built
-    /// replicas move into their shards as they are.
+    /// Enables the shard tally with an explicit partition plan
+    /// (contiguous, non-empty service ranges covering every service).
+    /// Add every service first; call it before the first event runs.
     ///
-    /// The engine runs the shards in turn on the calling thread, through
-    /// conservative lookahead windows as wide as `net_delay`'s lower bound;
-    /// cross-shard calls and replies are delivered at window barriers.
-    /// It is a distinct, self-consistent engine family:
-    /// runs are byte-identical across shard counts (`shards = 1` is the
-    /// family's sequential oracle), but not to the classic engine. Classic
-    /// replica start-up events queued before the switch are discarded and
-    /// redrawn from per-service streams. See `DESIGN.md` §14.
+    /// From then on the event loop pops its one queue in lookahead
+    /// windows `[w, w + L)`, anchored at the start of each `run_until`
+    /// span, and counts every event on the shard of the service it
+    /// executes on. The busiest shard per window adds up to
+    /// [`World::critical_path_events`]. `L` is read here: the installed
+    /// network's [`NetworkConfig::lookahead`], else `net_delay`'s lower
+    /// bound, so install the network first. The tally never changes what
+    /// runs: a sharded world produces the unsharded world's bytes. See
+    /// `DESIGN.md` §14.
     ///
     /// # Errors
     ///
-    /// [`ShardError`] when the world already has an engine, a network, a
-    /// fault schedule or simulated history; when the plan is not a
-    /// contiguous cover; or when `net_delay` has a zero lower bound (no
-    /// lookahead window to advance shards by).
+    /// [`ShardError`] when the world has already dispatched events, when
+    /// the plan is not a contiguous cover, or when `L` is zero.
     pub fn enable_sharding_with_plan(&mut self, plan: &[Range<usize>]) -> Result<(), ShardError> {
-        if self.engine.is_some() {
-            return Err(ShardError::AlreadySharded);
-        }
-        if self.network.is_some() {
-            return Err(ShardError::NetworkInstalled);
-        }
-        if self.faults_installed {
-            return Err(ShardError::FaultsInstalled);
-        }
-        if self.clock != SimTime::ZERO || self.next_request != 0 || !self.requests.is_empty() {
+        if self.events_dispatched != 0 {
             return Err(ShardError::AlreadyStarted);
         }
-        // Validate before moving observability state into the engine.
-        ShardEngine::validate(&self.config, plan, self.services.len())?;
-        let mut engine = ShardEngine::new(
-            self.config.clone(),
+        let lookahead = match &self.network {
+            Some(network) => network.config().lookahead(),
+            None => self.config.net_delay.lower_bound(),
+        };
+        self.tally = Some(ShardTally::new(
             plan,
             self.services.len(),
-            &self.rng,
-            std::mem::replace(&mut self.cluster, ClusterState::new()),
-            std::mem::replace(
-                &mut self.warehouse,
-                TraceWarehouse::new(self.config.trace_horizon, self.config.trace_sample_every),
-            ),
-            std::mem::replace(&mut self.client, ClientLog::new(self.config.client_bucket)),
-            std::mem::take(&mut self.client_by_type),
-        )
-        .expect("validated above");
-        engine.set_next_replica(self.next_replica);
-        // Move the built replicas into their shards in service order, then
-        // creation order. The classic queue's pending ReplicaReady events
-        // are discarded; the engine redraws start-up delays from
-        // per-service streams.
-        for svc in &mut self.services {
-            for id in std::mem::take(&mut svc.replicas) {
-                let key = self.replica_lookup[id.get() as usize]
-                    .take()
-                    .expect("live replica");
-                let state = self.replica_states[key.index() as usize];
-                let rep = self.replicas.remove(key).expect("live replica");
-                engine.install_replica(rep, state);
-            }
-            svc.rr = 0;
-        }
-        self.queue = EventQueue::new();
-        self.replicas = Slab::new();
-        self.replica_lookup.clear();
-        self.replica_states.clear();
-        self.engine = Some(engine);
+            lookahead.as_nanos(),
+        )?);
         Ok(())
     }
 
-    /// Number of shards the engine runs with (1 for the classic engine).
+    /// Number of shards the tally counts over (1 without sharding).
     pub fn shard_count(&self) -> usize {
-        self.engine.as_ref().map_or(1, |e| e.shard_count())
+        self.tally.as_ref().map_or(1, ShardTally::shards)
     }
 
-    /// The cross-shard lookahead in nanoseconds (`None` for the classic
-    /// engine): the minimum network delay, which bounds how far shards may
-    /// run ahead of each other.
+    /// The tally's window width in nanoseconds (`None` without sharding).
     pub fn shard_lookahead_nanos(&self) -> Option<u64> {
-        self.engine.as_ref().map(|e| e.lookahead_nanos())
+        self.tally.as_ref().map(ShardTally::lookahead)
     }
 
     /// Switches the future-event-list engine, carrying pending events
@@ -544,9 +483,6 @@ impl World {
     /// to measure the `BinaryHeap` baseline against identical topologies;
     /// both engines produce byte-identical simulations.
     pub fn set_queue_backend(&mut self, backend: QueueBackend) {
-        if self.engine.is_some() {
-            return; // sharded engine owns its per-shard timer wheels
-        }
         if self.queue.backend() == backend {
             return;
         }
@@ -575,10 +511,7 @@ impl World {
     }
 
     fn rep(&self, id: ReplicaId) -> Option<&Replica> {
-        match &self.engine {
-            Some(e) => e.rep(id),
-            None => self.rep_key(id).and_then(|k| self.replicas.get(k)),
-        }
+        self.rep_key(id).and_then(|k| self.replicas.get(k))
     }
 
     fn rep_mut(&mut self, id: ReplicaId) -> Option<&mut Replica> {
@@ -588,12 +521,8 @@ impl World {
 
     /// The lifecycle state of a replica, read from the dense state array.
     fn state_of(&self, id: ReplicaId) -> Option<ReplicaState> {
-        match &self.engine {
-            Some(e) => e.state_of(id),
-            None => self
-                .rep_key(id)
-                .map(|k| self.replica_states[k.index() as usize]),
-        }
+        self.rep_key(id)
+            .map(|k| self.replica_states[k.index() as usize])
     }
 
     fn set_state(&mut self, id: ReplicaId, state: ReplicaState) {
@@ -614,9 +543,6 @@ impl World {
     ///
     /// Propagates [`PlacementError`] when no node can host the pod.
     pub fn add_replica(&mut self, service: ServiceId) -> Result<ReplicaId, PlacementError> {
-        if let Some(engine) = self.engine.as_mut() {
-            return engine.add_replica(&self.services, service);
-        }
         if self.cluster.nodes().is_empty() {
             // Lazy default: effectively unbounded machine.
             self.cluster.add_node(Millicores::from_cores(1_000_000));
@@ -664,10 +590,6 @@ impl World {
     /// Marks a starting replica ready immediately (used by tests and by
     /// initial topology construction, where pods pre-exist the run).
     pub fn make_ready(&mut self, replica: ReplicaId) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.make_ready(replica);
-            return;
-        }
         if self.state_of(replica) == Some(ReplicaState::Starting) {
             self.set_state(replica, ReplicaState::Ready);
         }
@@ -677,11 +599,6 @@ impl World {
     /// added), draining in-flight work first. Returns the drained replica's
     /// id, or `None` if the service has at most `min_keep` replicas.
     pub fn drain_replica(&mut self, service: ServiceId, min_keep: usize) -> Option<ReplicaId> {
-        if let Some(engine) = self.engine.as_mut() {
-            let victim = engine.drain_replica(service, min_keep);
-            engine.settle_retired(&mut self.services);
-            return victim;
-        }
         let now = self.now();
         let rt = &self.services[service.get() as usize];
         let live: Vec<ReplicaId> = rt
@@ -709,11 +626,6 @@ impl World {
     /// and CPU jobs elsewhere are reclaimed). Used for failure-injection
     /// tests.
     pub fn fail_replica(&mut self, replica: ReplicaId) {
-        if let Some(engine) = self.engine.as_mut() {
-            let now = engine.now();
-            engine.kill_replica(now, replica, &mut self.services);
-            return;
-        }
         let now = self.now();
         // Canonical abort order — by request id, not storage order — so the
         // resulting event sequence is identical across runs and processes.
@@ -775,9 +687,6 @@ impl World {
         service: ServiceId,
         limit: Millicores,
     ) -> Result<(), PlacementError> {
-        if let Some(engine) = self.engine.as_mut() {
-            return engine.set_cpu_limit(&mut self.services, service, limit);
-        }
         let now = self.now();
         self.services[service.get() as usize].cpu_limit = limit;
         let mut ids = std::mem::take(&mut self.actuation_scratch);
@@ -801,10 +710,6 @@ impl World {
     /// Sets the per-replica thread-pool size of `service`, admitting queued
     /// requests immediately if the limit grew.
     pub fn set_thread_limit(&mut self, service: ServiceId, limit: usize) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.set_thread_limit(&mut self.services, service, limit);
-            return;
-        }
         let now = self.now();
         self.services[service.get() as usize].thread_limit = limit;
         let mut ids = std::mem::take(&mut self.actuation_scratch);
@@ -822,10 +727,6 @@ impl World {
     /// Sets the per-replica connection-pool size from `service` toward
     /// `target`, granting queued calls immediately if the limit grew.
     pub fn set_conn_limit(&mut self, service: ServiceId, target: ServiceId, limit: usize) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.set_conn_limit(&mut self.services, service, target, limit);
-            return;
-        }
         let now = self.now();
         self.services[service.get() as usize]
             .conn_limits
@@ -866,10 +767,6 @@ impl World {
     /// [`net::NetworkConfig::constant_latency`]) reproduces the
     /// function-edge engine byte for byte.
     pub fn install_network(&mut self, config: NetworkConfig) {
-        assert!(
-            self.engine.is_none(),
-            "install_network: the message-passing network is incompatible with the sharded engine"
-        );
         self.network = Some(Network::new(config, self.rng.split("network")));
     }
 
@@ -898,35 +795,20 @@ impl World {
     /// — see [`FaultSchedule::validate`].
     pub fn install_faults(&mut self, schedule: FaultSchedule) -> Result<(), FaultScheduleError> {
         schedule.validate()?;
-        self.faults_installed = true;
-        match self.engine.as_mut() {
-            Some(engine) => {
-                // Sharded engine: faults become coordinator barriers,
-                // applied between lookahead windows in schedule order.
-                for event in schedule.events() {
-                    engine.push_fault(event.at, event.kind.clone());
-                }
-            }
-            None => {
-                for event in schedule.events() {
-                    self.queue.schedule(
-                        event.at,
-                        Event::Fault {
-                            kind: event.kind.clone(),
-                        },
-                    );
-                }
-            }
+        for event in schedule.events() {
+            self.queue.schedule(
+                event.at,
+                Event::Fault {
+                    kind: event.kind.clone(),
+                },
+            );
         }
         Ok(())
     }
 
     /// The sim-clock-stamped record of every fault applied so far.
     pub fn fault_log(&self) -> &[(SimTime, String)] {
-        match &self.engine {
-            Some(e) => e.fault_log(),
-            None => &self.fault_log,
-        }
+        &self.fault_log
     }
 
     fn on_fault(&mut self, now: SimTime, kind: FaultKind) {
@@ -1128,9 +1010,6 @@ impl World {
             (rtype.get() as usize) < self.request_types.len(),
             "unknown request type {rtype}"
         );
-        if let Some(engine) = self.engine.as_mut() {
-            return engine.inject_at(at, rtype, &self.request_types[rtype.get() as usize]);
-        }
         let id = RequestId(self.next_request);
         self.next_request += 1;
         let arrive = match self.network.as_mut() {
@@ -1171,26 +1050,82 @@ impl World {
     /// completions to `out` (which the caller clears and reuses across
     /// steps) instead of returning a fresh `Vec` per step.
     pub fn run_until_into(&mut self, t: SimTime, out: &mut Vec<Completion>) {
-        match self.engine.as_mut() {
-            Some(engine) => engine.run_until_into(t, &mut self.services, out),
+        match self.tally.take() {
             None => {
                 while let Some((now, event)) = self.queue.pop_before(t) {
                     self.dispatch(now, event);
                 }
-                self.clock = self.clock.max(t);
-                #[cfg(feature = "audit")]
-                self.audit_run_boundary();
-                out.append(&mut self.completed);
             }
+            Some(mut tally) => {
+                self.run_tallied(&mut tally, t);
+                self.tally = Some(tally);
+            }
+        }
+        self.clock = self.clock.max(t);
+        #[cfg(feature = "audit")]
+        self.audit_run_boundary();
+        out.append(&mut self.completed);
+    }
+
+    /// The sharded form of the event loop: pops the same events in the
+    /// same order, through lookahead windows `[w, w + L)` anchored at the
+    /// span's start, and closes each window into the tally. Windows
+    /// without events are skipped.
+    fn run_tallied(&mut self, tally: &mut ShardTally, t: SimTime) {
+        let (start, end) = (self.clock.as_nanos(), t.as_nanos());
+        let width = tally.lookahead();
+        let mut w = start;
+        loop {
+            let last = w.saturating_add(width - 1).min(end);
+            while let Some((now, event)) = self.queue.pop_before(SimTime::from_nanos(last)) {
+                tally.count(self.event_service(&event));
+                self.dispatch(now, event);
+            }
+            tally.close_window();
+            match self.queue.peek_time() {
+                // The next event lies past `last >= w >= start`.
+                Some(next) if next <= t => {
+                    w = start + (next.as_nanos() - start) / width * width;
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// The service an event executes on, for the shard tally. `None` for
+    /// events no service owns (faults and their ends, restarts, trace
+    /// ingest) and for stale events whose request or replica is gone.
+    fn event_service(&self, event: &Event) -> Option<ServiceId> {
+        match *event {
+            Event::ExternalArrival { request } | Event::Timeout { request } => {
+                let rtype = self.requests.get(request)?.rtype;
+                Some(self.request_types[rtype.get() as usize].entry)
+            }
+            Event::ChildArrival {
+                request, target, ..
+            } => self.requests.contains(request).then_some(target),
+            Event::ChildReturn {
+                request, parent, ..
+            }
+            | Event::CallTimeout {
+                request, parent, ..
+            } => Some(self.requests.get(request)?.frames[parent].service),
+            Event::CpuDone { replica, .. }
+            | Event::ReplicaReady { replica }
+            | Event::TelemetrySample { replica, .. } => self.rep(replica).map(|r| r.service),
+            Event::Fault { .. }
+            | Event::PressureEnd { .. }
+            | Event::BlackoutEnd
+            | Event::ReplicaRestart { .. }
+            | Event::TelemetryTrace { .. }
+            | Event::PartitionEnd { .. }
+            | Event::LinkSlowEnd { .. } => None,
         }
     }
 
     /// True when no events are pending (all requests finished or dropped).
     pub fn is_quiescent(&self) -> bool {
-        match &self.engine {
-            Some(e) => e.is_quiescent(),
-            None => self.queue.is_empty(),
-        }
+        self.queue.is_empty()
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
@@ -2094,18 +2029,12 @@ impl World {
 
     /// The trace warehouse (Sora's Monitoring Module storage).
     pub fn warehouse(&self) -> &TraceWarehouse {
-        match &self.engine {
-            Some(e) => e.warehouse(),
-            None => &self.warehouse,
-        }
+        &self.warehouse
     }
 
     /// The end-to-end client log (experiment reporting).
     pub fn client(&self) -> &ClientLog {
-        match &self.engine {
-            Some(e) => e.client(),
-            None => &self.client,
-        }
+        &self.client
     }
 
     /// The end-to-end client log restricted to one request type — e.g. to
@@ -2115,72 +2044,50 @@ impl World {
     ///
     /// Panics if `rtype` was never registered.
     pub fn client_of(&self, rtype: RequestTypeId) -> &ClientLog {
-        match &self.engine {
-            Some(e) => e.client_of(rtype),
-            None => &self.client_by_type[rtype.get() as usize],
-        }
+        &self.client_by_type[rtype.get() as usize]
     }
 
     /// Requests refused or aborted without a response.
     pub fn dropped(&self) -> u64 {
-        match &self.engine {
-            Some(e) => e.dropped(),
-            None => self.dropped,
-        }
+        self.dropped
     }
 
     /// Total simulation events dispatched since construction — the
     /// events-per-second numerator reported by the `scale` bench.
     pub fn events_dispatched(&self) -> u64 {
-        match &self.engine {
-            Some(e) => e.events_dispatched(),
-            None => self.events_dispatched,
-        }
+        self.events_dispatched
     }
 
-    /// Events on the conservative critical path: the sum over execution
-    /// windows of the *maximum* per-shard dispatch count, i.e. the
-    /// makespan of an idealised run with one core per shard. The ratio
-    /// `events_dispatched / critical_path_events` is the speedup the
-    /// window schedule exposes independent of host core count; with one
-    /// shard (or the classic engine) it equals [`World::events_dispatched`].
+    /// The shard tally's critical path: summed over lookahead windows, the
+    /// busiest shard's dispatches, plus every event no service owns.
+    /// `events_dispatched / critical_path_events` is the parallelism one
+    /// event stream exposes when split by service into shards; it is a
+    /// measure, not a schedule anything runs (`DESIGN.md` §14). Without
+    /// sharding, or with one shard, it equals [`World::events_dispatched`].
     pub fn critical_path_events(&self) -> u64 {
-        match &self.engine {
-            Some(e) => e.critical_path_events(),
-            None => self.events_dispatched,
-        }
+        self.tally
+            .as_ref()
+            .map_or(self.events_dispatched, ShardTally::critical_path)
     }
 
     /// Requests ever injected (completed + dropped + in flight).
     pub fn requests_injected(&self) -> u64 {
-        match &self.engine {
-            Some(e) => e.requests_injected(),
-            None => self.next_request,
-        }
+        self.next_request
     }
 
     /// Spans ever created (one per service invocation across all requests).
     pub fn spans_created(&self) -> u64 {
-        match &self.engine {
-            Some(e) => e.spans_created(),
-            None => self.next_span,
-        }
+        self.next_span
     }
 
     /// Requests currently in flight.
     pub fn in_flight(&self) -> usize {
-        match &self.engine {
-            Some(e) => e.in_flight() as usize,
-            None => self.requests.len(),
-        }
+        self.requests.len()
     }
 
     /// Cumulative drop counts broken down by cause.
     pub fn drop_breakdown(&self) -> DropBreakdown {
-        match &self.engine {
-            Some(e) => e.drop_breakdown(),
-            None => self.drop_breakdown,
-        }
+        self.drop_breakdown
     }
 
     /// A point-in-time telemetry snapshot: cumulative counters plus exact
@@ -2211,19 +2118,13 @@ impl World {
     /// reason — closed-loop drivers use this to recycle or retry the
     /// affected users (a real client would see a connection error).
     pub fn drain_dropped(&mut self) -> Vec<(RequestId, DropReason)> {
-        match self.engine.as_mut() {
-            Some(e) => e.drain_dropped(),
-            None => std::mem::take(&mut self.dropped_log),
-        }
+        std::mem::take(&mut self.dropped_log)
     }
 
     /// The node hosting `replica`, if it is placed (fault schedules use
     /// this to aim CPU-pressure windows at a specific service's node).
     pub fn node_of(&self, replica: ReplicaId) -> Option<NodeId> {
-        match &self.engine {
-            Some(e) => e.node_of(replica),
-            None => self.cluster.placement(replica.get()).map(|p| p.node),
-        }
+        self.cluster.placement(replica.get()).map(|p| p.node)
     }
 
     /// Ready replica ids of `service`, in creation order.
@@ -2242,10 +2143,7 @@ impl World {
 
     /// All live replica ids of `service` (starting + ready + draining).
     pub fn all_replicas(&self, service: ServiceId) -> &[ReplicaId] {
-        match &self.engine {
-            Some(e) => e.service_replicas(service),
-            None => &self.services[service.get() as usize].replicas,
-        }
+        &self.services[service.get() as usize].replicas
     }
 
     /// The concurrency sampler of one replica.
@@ -2336,9 +2234,6 @@ impl World {
     /// — see `sora_core::UtilizationProbe` — so concurrent monitors never
     /// corrupt each other's view.
     pub fn cpu_busy_core_secs(&mut self, service: ServiceId) -> f64 {
-        if let Some(engine) = self.engine.as_mut() {
-            return engine.cpu_busy_core_secs(&mut self.services, service);
-        }
         let now = self.now();
         let svc = service.get() as usize;
         let mut total = self.services[svc].retired_busy_nanos;
@@ -2385,10 +2280,7 @@ impl World {
     /// Violations observed so far. Empty on a correct simulator; harnesses
     /// assert `world.audit().total() == 0` at the end of audited runs.
     pub fn audit(&self) -> &sim_core::audit::CountingSink {
-        match &self.engine {
-            Some(e) => e.audit(),
-            None => &self.audit_sink,
-        }
+        &self.audit_sink
     }
 
     /// Before each event: dispatch order must never move backwards in time.
@@ -2460,14 +2352,10 @@ impl World {
 
 impl std::fmt::Debug for World {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let replicas = match &self.engine {
-            Some(e) => e.replica_count(),
-            None => self.replicas.len(),
-        };
         f.debug_struct("World")
             .field("now", &self.now())
             .field("services", &self.services.len())
-            .field("replicas", &replicas)
+            .field("replicas", &self.replicas.len())
             .field("in_flight", &self.in_flight())
             .field("completed", &self.client().total())
             .field("dropped", &self.dropped())

@@ -262,11 +262,11 @@ impl NetworkConfig {
     /// minimum over every message-carrying edge (client, default, and all
     /// overrides) of the latency distribution's lower bound.
     ///
-    /// A parallel engine may advance two partitions independently for up to
-    /// this long, because no message sent by one can reach the other
-    /// sooner. Zero (e.g. an exponential-latency edge, or a transparent
-    /// network) means the topology admits no lookahead and must run
-    /// sequentially.
+    /// No message sent by one service can reach another sooner, so this is
+    /// the window width of a sharded world's tally
+    /// (`World::enable_sharding`). Zero (e.g. an exponential-latency edge,
+    /// or a transparent network) means the topology admits no lookahead,
+    /// and sharding is rejected.
     pub fn lookahead(&self) -> SimDuration {
         let mut min = self
             .client_edge
@@ -577,8 +577,8 @@ mod tests {
             EdgeParams::default().latency(Dist::exponential_ms(1.0)),
         );
         assert_eq!(cfg.lookahead(), SimDuration::ZERO);
-        // The telemetry edge does not constrain lookahead: reports are
-        // merged at barriers, not exchanged between shards mid-window.
+        // The telemetry edge does not constrain lookahead: reports go to
+        // the monitor, not to another service.
         let cfg = NetworkConfig::constant_latency(d)
             .telemetry_edge(EdgeParams::default().latency(Dist::exponential_ms(1.0)));
         assert_eq!(cfg.lookahead(), d);

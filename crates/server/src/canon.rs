@@ -7,15 +7,16 @@
 //! re-serialized (which materialises every default) and canonicalized
 //! (keys sorted, integral floats collapsed to integers), then hashed
 //! together with the engine fingerprint so results produced by a different
-//! engine version never alias.
+//! engine revision never alias.
 
 use serde_json::{Map, Number, Value};
 use sora_bench::ScenarioSpec;
 
-/// Identifies the simulation engine that produced a cached result. Bumped
-/// with the workspace version: any change that can alter simulation output
-/// ships as a new version, which invalidates every prior cache entry.
-pub const ENGINE_FINGERPRINT: &str = concat!("sora-sim/", env!("CARGO_PKG_VERSION"));
+/// Identifies the simulation engine revision that produced a cached
+/// result. Bump it whenever simulation output can change: every cache
+/// entry written under the old revision then misses instead of serving
+/// stale bytes.
+pub const ENGINE_FINGERPRINT: &str = "sora-sim/rev-2";
 
 /// Recursively canonicalizes a JSON value: object keys sorted
 /// lexicographically, and numbers normalised (a float with zero fractional

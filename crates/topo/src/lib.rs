@@ -113,7 +113,8 @@ impl Topology {
 }
 
 /// Splits service ids `0..n` (where `n = layer_sizes.iter().sum()`) into
-/// `shards` contiguous, balanced ranges for the sharded world engine.
+/// `shards` contiguous, balanced ranges for the shard tally
+/// (`World::enable_sharding_with_plan`).
 ///
 /// Because generated call edges only go from layer `l` to layer `l + 1`
 /// and service ids are assigned layer by layer, a cut placed *at a layer

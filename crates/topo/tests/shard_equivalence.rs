@@ -1,14 +1,12 @@
-//! Shard-count equivalence oracle (DESIGN §14): for any generated
-//! topology, shard plan and fault schedule, the sharded engine run at
-//! `shards = 1` — the family's sequential oracle — must be byte-identical
-//! to the same world run at `shards = N`: completion streams, drop logs
-//! and breakdowns, span/event counters, fault logs and serialized traces.
+//! Classic ≡ sharded oracle (DESIGN §14): for any generated topology,
+//! shard plan and fault schedule, a world that never enabled sharding and
+//! the same world sharded `N` ways must be byte-identical: completion
+//! streams, drop logs and breakdowns, span/event counters, fault logs and
+//! serialized traces.
 //!
-//! Conservative window execution guarantees this by construction: every
-//! cross-shard interaction is a mailbox message applied at a deterministic
-//! `(time, key)` barrier, so the partition is unobservable. Any divergence
-//! found here is a real engine bug (a partition-dependent key, a missed
-//! window, a merge-order slip), never tolerance noise.
+//! Sharding only tallies the one event loop's lookahead windows by shard,
+//! so any divergence found here is a real bug (the tally perturbing what
+//! runs), never tolerance noise.
 
 use microsim::{BlackoutMode, Completion, DropReason, FaultSchedule, WorldConfig};
 use proptest::prelude::*;
@@ -76,17 +74,20 @@ impl Faults {
     }
 }
 
-/// Builds one sharded world with its fault schedule installed and a
-/// deterministic injection schedule derived from `params.seed` queued.
-fn prepare(params: &TopoParams, shards: usize, faults: Faults) -> Topology {
+/// Builds one world — sharded `shards` ways, or never sharded for `None`
+/// — with its fault schedule installed and a deterministic injection
+/// schedule derived from `params.seed` queued.
+fn prepare(params: &TopoParams, shards: Option<usize>, faults: Faults) -> Topology {
     let config = WorldConfig {
         replica_startup: Dist::constant_us(0),
         ..WorldConfig::default()
     };
     let mut t = build(params, config, SimRng::seed_from(params.seed ^ 0x54a2d));
-    t.world
-        .enable_sharding_with_plan(&t.shard_plan(shards))
-        .expect("fresh world accepts sharding");
+    if let Some(shards) = shards {
+        t.world
+            .enable_sharding_with_plan(&t.shard_plan(shards))
+            .expect("fresh world accepts sharding");
+    }
     t.world
         .install_faults(faults.schedule(params.services))
         .expect("generated schedule validates");
@@ -100,8 +101,8 @@ fn prepare(params: &TopoParams, shards: usize, faults: Faults) -> Topology {
     t
 }
 
-/// Drives one prepared sharded world to quiescence.
-fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
+/// Drives one prepared world to quiescence.
+fn run(params: &TopoParams, shards: Option<usize>, faults: Faults) -> Observed {
     let mut t = prepare(params, shards, faults);
     let done = t.world.run_until(SimTime::from_secs(120));
     assert!(t.world.is_quiescent(), "run must drain ({params:?})");
@@ -120,13 +121,16 @@ fn run(params: &TopoParams, shards: usize, faults: Faults) -> Observed {
 }
 
 fn assert_equivalent(params: &TopoParams, shards: usize, faults: Faults) {
-    let oracle = run(params, 1, faults);
-    let sharded = run(params, shards, faults);
+    let unsharded = run(params, None, faults);
+    let sharded = run(params, Some(shards), faults);
     assert!(
-        oracle.completions.len() + oracle.dropped_log.len() > 0,
-        "oracle run must observe something ({params:?})"
+        unsharded.completions.len() + unsharded.dropped_log.len() > 0,
+        "unsharded run must observe something ({params:?})"
     );
-    assert_eq!(oracle, sharded, "shards=1 vs shards={shards} ({params:?})");
+    assert_eq!(
+        unsharded, sharded,
+        "unsharded vs shards={shards} ({params:?})"
+    );
 }
 
 #[test]
@@ -138,7 +142,7 @@ fn sock_shop_preset_is_shard_count_invariant() {
         pressure: false,
         blackout_lag: None,
     };
-    for shards in [2usize, 3, 4] {
+    for shards in [1usize, 2, 3, 4] {
         assert_equivalent(&TopoParams::sock_shop_like(30), shards, none);
     }
 }
@@ -159,13 +163,14 @@ fn crash_with_restart_is_shard_count_invariant() {
     assert_equivalent(&params, 4, faults);
 }
 
-/// The window schedule itself, pinned: total and critical-path event
-/// counts of one fixed world (crash with restart, CPU pressure, lagged
-/// telemetry) at two shard counts. The critical path — the sum over
-/// lookahead windows of the busiest shard's dispatches — is what the
-/// ledger reports as `microsim.shard_parallelism` and what `par_scale`
-/// gates on, so any change to window boundaries, window skipping or the
-/// per-window tally shows up here as an exact mismatch.
+/// The window tally itself, pinned: total and critical-path event counts
+/// of one fixed world (crash with restart, CPU pressure, lagged
+/// telemetry) at one, two and four shards. The critical path — the sum over
+/// lookahead windows of the busiest shard's dispatches, plus every event
+/// no service owns — is what the ledger reports as
+/// `microsim.shard_parallelism` and what `par_scale` gates on, so any
+/// change to window boundaries, window skipping or event attribution
+/// shows up here as an exact mismatch.
 #[test]
 fn window_schedule_is_pinned() {
     let faults = Faults {
@@ -179,8 +184,10 @@ fn window_schedule_is_pinned() {
         timeout: Some(SimDuration::from_millis(60)),
         ..TopoParams::sock_shop_like(24)
     };
-    for (shards, events, critical_path) in [(2usize, 4461u64, 3290u64), (4, 4461, 2536)] {
-        let mut t = prepare(&params, shards, faults);
+    for (shards, events, critical_path) in
+        [(1usize, 3638u64, 3638u64), (2, 3638, 2949), (4, 3638, 2327)]
+    {
+        let mut t = prepare(&params, Some(shards), faults);
         t.world.run_until(SimTime::from_secs(120));
         assert_eq!(
             (t.world.events_dispatched(), t.world.critical_path_events()),
@@ -194,16 +201,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any generated topology under any generated fault schedule is
-    /// byte-identical between the sequential oracle and an arbitrary
-    /// shard count.
+    /// byte-identical between the unsharded world and an arbitrary shard
+    /// count.
     #[test]
-    fn prop_sharded_run_matches_sequential_oracle(
+    fn prop_sharded_run_matches_unsharded_world(
         services in 8usize..24,
         depth in 2usize..5,
         fanout in 1usize..3,
         request_types in 1usize..4,
         seed in 0u64..1_000,
-        shards in 2usize..6,
+        shards in 1usize..6,
         timeout_pick in 0usize..3,
         crash_pick in 0usize..3,
         crash_at_ms in 5u64..80,

@@ -83,12 +83,12 @@ EOF
 rm -f /tmp/scale_smoke_j1.txt /tmp/scale_smoke_j4.txt
 mv /tmp/BENCH_scale_golden.json results/BENCH_scale.json
 
-echo "==> par_scale smoke (sharded engine byte-identity across shard counts, audited)"
+echo "==> par_scale smoke (byte-identity across shard counts, audited)"
 # A 500-service world under a canned fault schedule (replica crash with
 # restart, CPU pressure, telemetry blackout), fully audited, run at 1 and
 # 4 shards. The canonical digest — counters, drop breakdown, fault log and
-# order-sensitive stream hashes — must be byte-identical: the conservative
-# window engine's partition is unobservable (DESIGN §14). The committed
+# order-sensitive stream hashes — must be byte-identical: the shard tally
+# only counts the one event loop's dispatches (DESIGN §14). The committed
 # full-run artifact is then schema-checked, including the headline claims.
 cargo build -q --release -p sora-bench --features audit --bin par_scale
 ./target/release/par_scale --smoke --shards 1 2>/dev/null > /tmp/par_smoke_s1.txt
@@ -224,6 +224,26 @@ done
 kill -INT $SRV_PID 2>/dev/null; wait $SRV_PID || true
 cmp "$LANE/local.json" "$LANE/remote.json" \
   || { echo "wire result differs from in-process result"; exit 1; }
+
+# Sharding is unobservable on the wire path: short.json with "shards": 4
+# yields the unsharded result, spec block aside (the shard tally only
+# sets critical_path_events, DESIGN §14).
+python3 - "$LANE" <<'EOF'
+import json, sys
+spec = json.load(open("scenarios/short.json"))
+spec["shards"] = 4
+json.dump(spec, open(sys.argv[1] + "/sharded.json", "w"))
+EOF
+"$SRV" run-local "$LANE/sharded.json" > "$LANE/sharded_result.json"
+python3 - "$LANE" <<'EOF'
+import json, sys
+def body(name):
+    d = json.load(open(sys.argv[1] + "/" + name))
+    assert d.pop("spec")["shards"] in (None, 4)
+    return d
+if body("local.json") != body("sharded_result.json"):
+    sys.exit("short.json with shards=4 diverged from the unsharded result")
+EOF
 
 # The farm produces those same bytes at --workers 1 and --workers 4.
 for s in 101 102 103; do

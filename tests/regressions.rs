@@ -39,9 +39,10 @@ const CORPUS: &[(&str, Expect)] = &[
         "002_overlapping_blackout_windows",
         Expect::Rejected("faults"),
     ),
-    // Network plus sharded engine: used to pass validate and then panic
-    // in `World::install_network` (the engines are mutually exclusive).
-    ("003_network_with_shards", Expect::Rejected("net")),
+    // Network plus shards: used to pass validate and then panic in
+    // `World::install_network`. The two now compose; the oracle stack's
+    // panic check pins the old panic.
+    ("003_network_with_shards", Expect::Clean),
     // Partition fault without a network: used to be logged and silently
     // ignored, so two behaviourally identical runs cached under
     // different canon keys.
