@@ -8,7 +8,7 @@ use crate::shard::{ShardError, ShardTally};
 use cluster::{ClusterState, CpuJobId, Millicores, NodeId, PlacementError};
 use net::{Endpoint, Network, NetworkConfig, SendOutcome};
 use serde::{Deserialize, Serialize};
-use sim_core::{EventQueue, QueueBackend, SimDuration, SimRng, SimTime, Slab, SlabKey};
+use sim_core::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlabKey};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use telemetry::{
@@ -475,27 +475,6 @@ impl World {
     /// The tally's window width in nanoseconds (`None` without sharding).
     pub fn shard_lookahead_nanos(&self) -> Option<u64> {
         self.tally.as_ref().map(ShardTally::lookahead)
-    }
-
-    /// Switches the future-event-list engine, carrying pending events
-    /// over in canonical pop order (so FIFO tie-breaking — and with it
-    /// every downstream byte — is preserved). The `scale` bench uses this
-    /// to measure the `BinaryHeap` baseline against identical topologies;
-    /// both engines produce byte-identical simulations.
-    pub fn set_queue_backend(&mut self, backend: QueueBackend) {
-        if self.queue.backend() == backend {
-            return;
-        }
-        let mut fresh = EventQueue::with_backend(backend);
-        while let Some((t, ev)) = self.queue.pop() {
-            fresh.schedule(t, ev);
-        }
-        self.queue = fresh;
-    }
-
-    /// The engine behind the future event list.
-    pub fn queue_backend(&self) -> QueueBackend {
-        self.queue.backend()
     }
 
     // ------------------------------------------------------------------

@@ -4,7 +4,8 @@
 //! provides the machinery every other crate builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
-//! * [`EventQueue`] — a stable-ordered future event list;
+//! * [`EventQueue`] — the future event list: a binary heap that pops
+//!   earliest time first and equal times in scheduling order;
 //! * [`SimRng`] — a seeded, splittable random-number generator so whole
 //!   cluster simulations are reproducible bit-for-bit;
 //! * [`Dist`] — the service-time / inter-arrival distributions used by the
@@ -41,7 +42,7 @@ pub mod stats;
 mod time;
 
 pub use dist::Dist;
-pub use queue::{EventQueue, QueueBackend, TimerWheel};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};

@@ -1,43 +1,20 @@
-//! The future event list.
+//! The future event list: a binary heap ordered by `(time, insertion
+//! order)`.
 //!
-//! Two interchangeable engines implement the same deterministic contract
-//! (earliest timestamp first; equal timestamps dequeue in scheduling
-//! order):
-//!
-//! * [`TimerWheel`] — a hierarchical timing wheel with a calendar-style
-//!   overflow list for far-future events. Schedule and pop are O(1)
-//!   amortized, independent of how many events are pending, which is what
-//!   keeps million-user worlds from spending their time in `sift_down`.
-//!   This is the default backend.
-//! * A plain `BinaryHeap` — O(log n) per operation. Kept both as the
-//!   reference oracle for the wheel's equivalence proptests and as the
-//!   baseline the `scale` bench measures speedups against.
-//!
-//! [`EventQueue`] wraps either backend behind the API the simulator uses;
-//! the two produce **byte-identical pop sequences** for any schedule/pop
-//! interleaving (proven by `prop_wheel_matches_heap_oracle` below), so
-//! switching backends never changes simulation output.
+//! Earliest timestamp first; equal timestamps dequeue in scheduling order.
+//! Schedule and pop are O(log n). DESIGN.md §11.1 records why this heap,
+//! and not a timing wheel, is the one engine.
 
 use crate::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A pending event: ordered by time, then by a caller-supplied sequence key
-/// so that simultaneous events dequeue in a stable, deterministic order.
+/// A pending event: ordered by time, then by insertion sequence so that
+/// simultaneous events dequeue in a stable, deterministic order.
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
-}
-
-impl<E: Clone> Clone for Scheduled<E> {
-    fn clone(&self) -> Self {
-        Scheduled {
-            at: self.at,
-            seq: self.seq,
-            event: self.event.clone(),
-        }
-    }
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -63,460 +40,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Hierarchical timing wheel
-// ---------------------------------------------------------------------
-
-/// Granularity of the finest wheel level: 2^10 ns ≈ 1 µs per tick. Events
-/// inside one tick are ordered exactly (by nanosecond, then sequence key)
-/// when the tick's bucket is drained, so the coarse tick costs no fidelity.
-const TICK_BITS: u32 = 10;
-/// log2(slots per level): 64 slots.
-const LEVEL_BITS: u32 = 6;
-/// Wheel levels. Level `k` spans 2^(10+6k) ns per slot; six levels cover a
-/// relative window of 2^46 ns ≈ 19.5 hours — far beyond any simulated
-/// trace. Events beyond the window go to the calendar overflow list.
-const LEVELS: usize = 6;
-/// Bits covered by the whole wheel; events whose timestamp differs from the
-/// horizon above this bit live in the overflow list.
-const FAR_SHIFT: u32 = TICK_BITS + LEVEL_BITS * LEVELS as u32;
-
-const fn shift(level: usize) -> u32 {
-    TICK_BITS + LEVEL_BITS * level as u32
-}
-
-#[derive(Clone)]
-struct WheelLevel<E> {
-    /// Bit `s` set ⇔ `slots[s]` is non-empty.
-    occupied: u64,
-    slots: [Vec<Scheduled<E>>; 64],
-}
-
-impl<E> WheelLevel<E> {
-    fn new() -> Self {
-        WheelLevel {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::new()),
-        }
-    }
-}
-
-/// A hierarchical timing wheel: the O(1) future event list.
-///
-/// Entries are `(time, key, payload)`; pops come back ordered by
-/// `(time, key)`. [`EventQueue`] uses an insertion counter as the key
-/// (FIFO for equal times); the closed-loop user pool uses the user id
-/// (matching its historical heap ordering). Keys must be unique per
-/// timestamp for the order to be total.
-///
-/// # Layout and invariants
-///
-/// A `horizon` cursor (nanoseconds) separates three stores:
-///
-/// * `ready` + `stragglers` — every pending entry with `at < horizon`:
-///   the most recently drained tick-bucket (sorted once, served from the
-///   back) plus a tiny side heap of late arrivals scheduled behind the
-///   horizon;
-/// * the wheel — entries with `at ≥ horizon` within 2^46 ns of the
-///   horizon, filed at the highest level where `at`'s slot path differs
-///   from the horizon's;
-/// * `far` — the calendar overflow for entries beyond the wheel's window,
-///   migrated into the wheel when the horizon catches up.
-///
-/// Popping sorts the earliest non-empty bucket in place and serves it as
-/// `ready` (cascading coarser levels down as the horizon advances), then
-/// takes the minimum of `ready`'s tail and `stragglers`' top, so the
-/// global `(time, key)` order is exact.
-pub struct TimerWheel<E> {
-    levels: Vec<WheelLevel<E>>,
-    /// The drained bucket currently being served: entries with
-    /// `at < horizon`, sorted descending by `(at, key)` so pops come off
-    /// the back. Refilled by swapping in a whole level-0 bucket and
-    /// sorting it once — cheaper than sifting every fat entry through a
-    /// binary heap twice.
-    ready: Vec<Scheduled<E>>,
-    /// Entries scheduled *behind* the horizon after their tick was already
-    /// drained (heap-semantics scheduling into the past). Rare, so they
-    /// live in a small side heap merged with `ready` at pop time.
-    stragglers: BinaryHeap<Scheduled<E>>,
-    /// Calendar overflow: entries beyond the wheel window, unordered.
-    far: Vec<Scheduled<E>>,
-    /// Minimum timestamp in `far` (u64::MAX when empty).
-    far_min: u64,
-    /// Every pending entry not in `ready` has `at ≥ horizon` (ns).
-    horizon: u64,
-    now: SimTime,
-    len: usize,
-    /// Recycled bucket buffers. Slot indices at coarse levels advance
-    /// monotonically with absolute time, so a freshly-entered slot has
-    /// never been touched before; handing drained buffers to a pool (and
-    /// filling empty slots from it) lets capacity follow the *workload*
-    /// instead of the slot index, keeping steady-state churn
-    /// allocation-free.
-    spare: Vec<Vec<Scheduled<E>>>,
-}
-
-/// Max recycled buffers retained; beyond this, drained buffers are freed.
-const SPARE_CAP: usize = 64;
-
-impl<E: Clone> Clone for TimerWheel<E> {
-    fn clone(&self) -> Self {
-        TimerWheel {
-            levels: self.levels.clone(),
-            ready: self.ready.clone(),
-            stragglers: self.stragglers.clone(),
-            far: self.far.clone(),
-            far_min: self.far_min,
-            horizon: self.horizon,
-            now: self.now,
-            len: self.len,
-            spare: Vec::new(),
-        }
-    }
-}
-
-impl<E> Default for TimerWheel<E> {
-    fn default() -> Self {
-        TimerWheel::new()
-    }
-}
-
-impl<E> TimerWheel<E> {
-    /// Creates an empty wheel with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        TimerWheel {
-            levels: (0..LEVELS).map(|_| WheelLevel::new()).collect(),
-            ready: Vec::new(),
-            stragglers: BinaryHeap::new(),
-            far: Vec::new(),
-            far_min: u64::MAX,
-            horizon: 0,
-            now: SimTime::ZERO,
-            len: 0,
-            spare: Vec::new(),
-        }
-    }
-
-    /// The high-water mark of popped timestamps (zero before any pop).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Pending entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The slot index of `nanos` at `level`, relative to the wheel layout.
-    fn slot_of(nanos: u64, level: usize) -> usize {
-        ((nanos >> shift(level)) & 63) as usize
-    }
-
-    /// Files an entry with `at ≥ horizon` into the wheel or overflow.
-    fn place(&mut self, entry: Scheduled<E>) {
-        let at = entry.at.as_nanos();
-        debug_assert!(at >= self.horizon);
-        let diff = at ^ self.horizon;
-        if diff >> FAR_SHIFT != 0 {
-            self.far_min = self.far_min.min(at);
-            self.far.push(entry);
-            return;
-        }
-        let ticks = diff >> TICK_BITS;
-        let level = if ticks == 0 {
-            0
-        } else {
-            (63 - ticks.leading_zeros() as usize) / LEVEL_BITS as usize
-        };
-        let slot = Self::slot_of(at, level);
-        if self.levels[level].slots[slot].capacity() == 0 {
-            if let Some(buf) = self.spare.pop() {
-                self.levels[level].slots[slot] = buf;
-            }
-        }
-        self.levels[level].slots[slot].push(entry);
-        self.levels[level].occupied |= 1 << slot;
-    }
-
-    /// Returns a drained bucket buffer to the spare pool (or frees it).
-    fn recycle(&mut self, buf: Vec<Scheduled<E>>) {
-        debug_assert!(buf.is_empty());
-        if buf.capacity() > 0 && self.spare.len() < SPARE_CAP {
-            self.spare.push(buf);
-        }
-    }
-
-    /// Entries already drained past the horizon (served before the wheel).
-    fn ready_len(&self) -> usize {
-        self.ready.len() + self.stragglers.len()
-    }
-
-    /// The `(time, key)` of the earliest drained entry, if any.
-    fn ready_peek(&self) -> Option<(SimTime, u64)> {
-        let r = self.ready.last().map(|e| (e.at, e.seq));
-        let s = self.stragglers.peek().map(|e| (e.at, e.seq));
-        match (r, s) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Pops the earliest drained entry. Caller guarantees one exists.
-    fn ready_pop(&mut self) -> Scheduled<E> {
-        let take_straggler = match (self.ready.last(), self.stragglers.peek()) {
-            (Some(r), Some(s)) => (s.at, s.seq) < (r.at, r.seq),
-            (None, _) => true,
-            (_, None) => false,
-        };
-        if take_straggler {
-            self.stragglers.pop().expect("caller checked ready_len")
-        } else {
-            self.ready.pop().expect("caller checked ready_len")
-        }
-    }
-
-    /// Schedules `event` with ordering key `key` at absolute time `at`.
-    ///
-    /// `at` may be earlier than [`now`](Self::now): the wheel then behaves
-    /// exactly like a binary heap — the entry joins the `ready` heap and
-    /// pops before everything later. Callers that need strict time
-    /// monotonicity (like [`EventQueue`]) assert it themselves.
-    pub fn schedule(&mut self, at: SimTime, key: u64, event: E) {
-        self.len += 1;
-        let entry = Scheduled {
-            at,
-            seq: key,
-            event,
-        };
-        if at.as_nanos() < self.horizon {
-            // The tick containing `at` has already been drained; join the
-            // straggler heap, which still orders exactly by (time, key).
-            self.stragglers.push(entry);
-        } else {
-            self.place(entry);
-        }
-    }
-
-    /// Moves overflow entries that fell inside the wheel window back into
-    /// the wheel (the "calendar page turn").
-    fn migrate_far(&mut self) {
-        let mut far = std::mem::take(&mut self.far);
-        self.far_min = u64::MAX;
-        for entry in far.drain(..) {
-            // `place` re-files against the current horizon: entries still
-            // beyond the window land back in `far` and refresh `far_min`.
-            self.place(entry);
-        }
-        if self.far.is_empty() {
-            self.far = far; // keep the warmed buffer
-        } else {
-            self.recycle(far);
-        }
-    }
-
-    /// Refills `ready` with the earliest pending bucket. Returns `false`
-    /// when nothing is pending outside `ready`.
-    fn refill_ready(&mut self) -> bool {
-        if self.len == self.ready_len() {
-            return false;
-        }
-        loop {
-            if self.far_min >> FAR_SHIFT == self.horizon >> FAR_SHIFT {
-                self.migrate_far();
-            }
-            // Cascade any "parked" coarse slot — one the horizon has
-            // entered (slot == cursor) whose entries haven't been refiled
-            // at finer levels yet. This happens when a tick drain carries
-            // the horizon into the next coarse group, or after a calendar
-            // page turn. It MUST precede the bottom-up search: a parked
-            // entry can be earlier than everything already at level 0.
-            if self.cascade_parked() {
-                continue;
-            }
-            // No parked slots: the lowest level with an occupied slot at
-            // or after the horizon's path holds the earliest entries.
-            let mut found = None;
-            for (k, level) in self.levels.iter().enumerate() {
-                let idx = Self::slot_of(self.horizon, k);
-                let mask = level.occupied & (!0u64 << idx);
-                if mask != 0 {
-                    found = Some((k, mask.trailing_zeros() as usize));
-                    break;
-                }
-            }
-            let Some((k, s)) = found else {
-                if self.far.is_empty() {
-                    return false;
-                }
-                // Wheel empty: turn the calendar to the overflow's first
-                // page and let migration refile it.
-                self.horizon = self.far_min;
-                continue;
-            };
-            if k == 0 {
-                // Drain the earliest tick bucket: one in-place sort, then
-                // the whole bucket *becomes* the ready vector (the old,
-                // now-empty vector's buffer goes back to the pool). Exact
-                // (time, key) order is restored by the sort, so the coarse
-                // tick never reorders events.
-                let level = &mut self.levels[0];
-                level.occupied &= !(1 << s);
-                let upper = self.horizon & (!0u64 << shift(1));
-                let slot_start = upper | ((s as u64) << TICK_BITS);
-                self.horizon = slot_start + (1 << TICK_BITS);
-                let mut bucket = std::mem::take(&mut self.levels[0].slots[s]);
-                // `Scheduled`'s Ord is inverted (earliest = greatest), so a
-                // plain ascending sort leaves the earliest entry last —
-                // ready to pop off the back.
-                bucket.sort_unstable();
-                debug_assert!(self.ready.is_empty());
-                std::mem::swap(&mut self.ready, &mut bucket);
-                self.recycle(bucket);
-                debug_assert!(!self.ready.is_empty());
-                return true;
-            }
-            // cascade_parked ruled out slot == cursor, so nothing is
-            // pending before this coarse slot: advance the horizon to its
-            // start. The slot is then parked and cascades next iteration.
-            debug_assert!(s > Self::slot_of(self.horizon, k));
-            let upper = self.horizon & (!0u64 << shift(k + 1));
-            self.horizon = upper | ((s as u64) << shift(k));
-        }
-    }
-
-    /// Refiles the lowest parked coarse slot (level ≥ 1, slot == the
-    /// horizon's cursor at that level) into finer levels. Returns whether
-    /// anything was cascaded.
-    fn cascade_parked(&mut self) -> bool {
-        for k in 1..LEVELS {
-            let c = Self::slot_of(self.horizon, k);
-            if self.levels[k].occupied & (1 << c) != 0 {
-                self.levels[k].occupied &= !(1 << c);
-                let mut entries = std::mem::take(&mut self.levels[k].slots[c]);
-                for entry in entries.drain(..) {
-                    // Every entry shares the horizon's group at level k, so
-                    // it refiles strictly below level k.
-                    self.place(entry);
-                }
-                // Pool the emptied buffer so steady-state cascades stay
-                // allocation-free (the next use of this slot *index* is a
-                // whole level-span away; the pool reuses it much sooner).
-                self.recycle(entries);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Removes and returns the earliest entry, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.ready_len() == 0 && !self.refill_ready() {
-            return None;
-        }
-        let Scheduled { at, seq, event } = self.ready_pop();
-        // `now` is the high-water mark of popped times; a caller that
-        // scheduled into the past (heap semantics) can legally pop below it.
-        self.now = self.now.max(at);
-        self.len -= 1;
-        Some((at, seq, event))
-    }
-
-    /// Pops the earliest entry only if its time is at or before `t`.
-    ///
-    /// This is the hot-path form of "peek, compare, pop": it reuses the
-    /// amortized-O(1) refill machinery instead of [`peek`](Self::peek),
-    /// whose read-only scan must walk the first occupied slot of every
-    /// level (a coarse slot can hold thousands of far-future entries).
-    /// Drained-but-unpopped entries simply stay in the ready store.
-    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.ready_len() == 0 && !self.refill_ready() {
-            return None;
-        }
-        if self.ready_peek().expect("refilled above").0 > t {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// The `(time, key)` of the earliest entry without removing it.
-    pub fn peek(&self) -> Option<(SimTime, u64)> {
-        if let Some(top) = self.ready_peek() {
-            return Some(top);
-        }
-        // Mirror `refill_ready` without mutating. Within one level, slot
-        // order is time order, so each level's minimum lives in its first
-        // occupied slot at or after the cursor — but a coarse level's
-        // cursor slot (entries "parked" until the next cascade) overlaps
-        // every finer level's range, so the levels' minima must be folded
-        // rather than trusting the lowest occupied level alone.
-        let mut best: Option<(SimTime, u64)> = None;
-        for (k, level) in self.levels.iter().enumerate() {
-            let idx = Self::slot_of(self.horizon, k);
-            let mask = level.occupied & (!0u64 << idx);
-            if mask != 0 {
-                let s = mask.trailing_zeros() as usize;
-                let level_min = level.slots[s]
-                    .iter()
-                    .map(|e| (e.at, e.seq))
-                    .min()
-                    .expect("occupied bit set on empty slot");
-                best = Some(best.map_or(level_min, |b| b.min(level_min)));
-            }
-        }
-        if best.is_some() {
-            return best;
-        }
-        self.far.iter().map(|e| (e.at, e.seq)).min()
-    }
-
-    /// Iterates pending entries in arbitrary order (diagnostics/tests).
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
-        self.ready
-            .iter()
-            .chain(self.stragglers.iter())
-            .chain(self.levels.iter().flat_map(|l| l.slots.iter().flatten()))
-            .chain(self.far.iter())
-            .map(|e| (e.at, e.seq, &e.event))
-    }
-}
-
-impl<E> std::fmt::Debug for TimerWheel<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimerWheel")
-            .field("now", &self.now)
-            .field("pending", &self.len)
-            .field("ready", &self.ready_len())
-            .field("far", &self.far.len())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------
-// The EventQueue façade
-// ---------------------------------------------------------------------
-
-/// Which engine an [`EventQueue`] runs on. Both are deterministic and
-/// produce identical pop sequences; the heap exists as the equivalence
-/// oracle and as the performance baseline for the `scale` bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel (O(1) amortized; the default).
-    #[default]
-    TimingWheel,
-    /// Binary heap (O(log n); oracle/baseline).
-    BinaryHeap,
-}
-
-enum Inner<E> {
-    Wheel(TimerWheel<E>),
-    Heap(BinaryHeap<Scheduled<E>>),
-}
-
 /// A deterministic future event list for discrete-event simulation.
 ///
 /// Events scheduled for the same instant are delivered in scheduling order.
@@ -537,7 +60,7 @@ enum Inner<E> {
 /// assert_eq!(order, ["early", "late", "later"]);
 /// ```
 pub struct EventQueue<E> {
-    inner: Inner<E>,
+    heap: BinaryHeap<Scheduled<E>>,
     seq: u64,
     now: SimTime,
 }
@@ -549,29 +72,12 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue (timing-wheel backend) with the clock at
-    /// [`SimTime::ZERO`].
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue::with_backend(QueueBackend::TimingWheel)
-    }
-
-    /// Creates an empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            inner: match backend {
-                QueueBackend::TimingWheel => Inner::Wheel(TimerWheel::new()),
-                QueueBackend::BinaryHeap => Inner::Heap(BinaryHeap::new()),
-            },
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.inner {
-            Inner::Wheel(_) => QueueBackend::TimingWheel,
-            Inner::Heap(_) => QueueBackend::BinaryHeap,
         }
     }
 
@@ -595,72 +101,48 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        match &mut self.inner {
-            Inner::Wheel(w) => w.schedule(at, seq, event),
-            Inner::Heap(h) => h.push(Scheduled { at, seq, event }),
-        }
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, event) = match &mut self.inner {
-            Inner::Wheel(w) => w.pop().map(|(at, _, event)| (at, event))?,
-            Inner::Heap(h) => h.pop().map(|s| (s.at, s.event))?,
-        };
+        let Scheduled { at, event, .. } = self.heap.pop()?;
         debug_assert!(at >= self.now);
         self.now = at;
         Some((at, event))
     }
 
     /// Removes and returns the earliest pending event only if it is due at
-    /// or before `t`, advancing the clock to its timestamp.
-    ///
-    /// Equivalent to `peek_time() <= t` followed by [`pop`](Self::pop),
-    /// but on the wheel backend it avoids the peek's per-level slot scan —
-    /// use this in event loops (`while let Some((now, ev)) =
-    /// q.pop_before(t)`).
+    /// or before `t`, advancing the clock to its timestamp — the event-loop
+    /// form of `peek_time() <= t` followed by [`pop`](Self::pop)
+    /// (`while let Some((now, ev)) = q.pop_before(t)`).
     pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        let (at, event) = match &mut self.inner {
-            Inner::Wheel(w) => w.pop_before(t).map(|(at, _, event)| (at, event))?,
-            Inner::Heap(h) => {
-                if h.peek()?.at > t {
-                    return None;
-                }
-                h.pop().map(|s| (s.at, s.event))?
-            }
-        };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        Some((at, event))
+        if self.heap.peek()?.at > t {
+            return None;
+        }
+        self.pop()
     }
 
     /// The timestamp of the next pending event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Wheel(w) => w.peek().map(|(at, _)| at),
-            Inner::Heap(h) => h.peek().map(|s| s.at),
-        }
+        self.heap.peek().map(|s| s.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Wheel(w) => w.len(),
-            Inner::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("backend", &self.backend())
             .field("now", &self.now)
             .field("pending", &self.len())
             .finish()
@@ -672,48 +154,38 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn both_backends() -> [EventQueue<u32>; 2] {
-        [
-            EventQueue::with_backend(QueueBackend::TimingWheel),
-            EventQueue::with_backend(QueueBackend::BinaryHeap),
-        ]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both_backends() {
-            q.schedule(SimTime::from_millis(5), 5u32);
-            q.schedule(SimTime::from_millis(1), 1u32);
-            q.schedule(SimTime::from_millis(3), 3u32);
-            let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(out, [1, 3, 5]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(5), 5u32);
+        q.schedule(SimTime::from_millis(1), 1u32);
+        q.schedule(SimTime::from_millis(3), 3u32);
+        let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(out, [1, 3, 5]);
     }
 
     #[test]
     fn equal_times_are_fifo() {
-        for mut q in both_backends() {
-            for i in 0..100u32 {
-                q.schedule(SimTime::from_millis(7), i);
-            }
-            let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(out, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            q.schedule(SimTime::from_millis(7), i);
         }
+        let out: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn clock_advances_with_pops() {
-        for mut q in both_backends() {
-            q.schedule(SimTime::from_millis(2), 0);
-            q.schedule(SimTime::from_millis(9), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_millis(2));
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_millis(9));
-            assert!(q.pop().is_none());
-            assert_eq!(q.now(), SimTime::from_millis(9));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(2), 0);
+        q.schedule(SimTime::from_millis(9), 0);
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_millis(2));
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_millis(9));
+        assert!(q.pop().is_none());
+        assert_eq!(q.now(), SimTime::from_millis(9));
     }
 
     #[test]
@@ -727,56 +199,51 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        for mut q in both_backends() {
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_millis(4), 0);
-            q.schedule(SimTime::from_millis(2), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-            assert_eq!(q.pop().unwrap().0, SimTime::from_millis(2));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_millis(4), 0);
+        q.schedule(SimTime::from_millis(2), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
+        assert_eq!(q.pop().unwrap().0, SimTime::from_millis(2));
     }
 
     #[test]
     fn pop_before_only_releases_due_events() {
-        for mut q in both_backends() {
-            q.schedule(SimTime::from_millis(4), 40u32);
-            q.schedule(SimTime::from_millis(2), 20u32);
-            assert_eq!(q.pop_before(SimTime::from_millis(1)), None);
-            assert_eq!(
-                q.pop_before(SimTime::from_millis(2)),
-                Some((SimTime::from_millis(2), 20))
-            );
-            // The undrained event is untouched and pops normally later.
-            assert_eq!(q.pop_before(SimTime::from_millis(3)), None);
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((SimTime::from_millis(4), 40)));
-            assert_eq!(q.pop_before(SimTime::from_millis(100)), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(4), 40u32);
+        q.schedule(SimTime::from_millis(2), 20u32);
+        assert_eq!(q.pop_before(SimTime::from_millis(1)), None);
+        assert_eq!(
+            q.pop_before(SimTime::from_millis(2)),
+            Some((SimTime::from_millis(2), 20))
+        );
+        // The undrained event is untouched and pops normally later.
+        assert_eq!(q.pop_before(SimTime::from_millis(3)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(4), 40)));
+        assert_eq!(q.pop_before(SimTime::from_millis(100)), None);
     }
 
-    /// Scheduling while popping, including into already-drained ticks: a
-    /// late event landing before the wheel's horizon must still dequeue in
-    /// exact time order.
+    /// Scheduling while popping: an event scheduled after a pop, just
+    /// ahead of `now` and before everything pending, dequeues next.
     #[test]
-    fn late_arrivals_into_the_current_tick_stay_ordered() {
+    fn late_arrivals_stay_ordered() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(100), 1u32);
         q.schedule(SimTime::from_nanos(90_000), 4u32);
         assert_eq!(q.pop().unwrap().1, 1);
-        // 150 ns is inside the tick the wheel just drained (horizon has
-        // moved past it) and ahead of `now` — legal and must come next.
         q.schedule(SimTime::from_nanos(150), 2u32);
         q.schedule(SimTime::from_nanos(80_000), 3u32);
         let rest: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(rest, [2, 3, 4]);
     }
 
-    /// Far-future events take the calendar overflow path and still pop in
-    /// order, interleaved with near events scheduled later.
+    /// Events days ahead pop in order, interleaved with near events
+    /// scheduled later.
     #[test]
-    fn far_future_events_migrate_back_in_order() {
+    fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
-        let day = 86_400u64 * 1_000_000_000; // beyond the 2^46 ns window
+        let day = 86_400u64 * 1_000_000_000;
         q.schedule(SimTime::from_nanos(3 * day), 30u32);
         q.schedule(SimTime::from_nanos(day), 10u32);
         q.schedule(SimTime::from_nanos(5), 1u32);
@@ -788,147 +255,92 @@ mod tests {
         assert_eq!(rest, [10, 11, 20, 30]);
     }
 
-    #[test]
-    fn timer_wheel_orders_by_caller_key_for_equal_times() {
-        // The user pool keys pending sends by user id: for equal
-        // timestamps the *smaller key* pops first, regardless of
-        // scheduling order.
-        let mut w: TimerWheel<()> = TimerWheel::new();
-        w.schedule(SimTime::from_millis(3), 9, ());
-        w.schedule(SimTime::from_millis(3), 2, ());
-        w.schedule(SimTime::from_millis(1), 7, ());
-        assert_eq!(w.peek(), Some((SimTime::from_millis(1), 7)));
-        let order: Vec<u64> = std::iter::from_fn(|| w.pop()).map(|(_, k, _)| k).collect();
-        assert_eq!(order, [7, 2, 9]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn timer_wheel_iter_sees_every_store() {
-        let mut w: TimerWheel<u8> = TimerWheel::new();
-        let day = 86_400u64 * 1_000_000_000;
-        w.schedule(SimTime::from_nanos(10), 0, 1); // wheel
-        w.schedule(SimTime::from_nanos(day), 1, 2); // far overflow
-        w.schedule(SimTime::from_nanos(20), 2, 3);
-        w.pop(); // leaves an entry in `ready`? (same tick) — at least exercises drain
-        let mut seen: Vec<u8> = w.iter().map(|(_, _, e)| *e).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, [2, 3]);
-        assert_eq!(w.len(), 2);
+    /// Checks one pop against the clock and the `(time, insertion index)`
+    /// order of every pop before it, then records it as the latest.
+    fn check_pop(last: &mut Option<(SimTime, u64)>, popped: (SimTime, u64), now: SimTime) {
+        assert_eq!(now, popped.0, "the clock is the last popped time");
+        if let Some(prev) = *last {
+            assert!(popped > prev, "{popped:?} popped after {prev:?}");
+        }
+        *last = Some(popped);
     }
 
     proptest! {
-        /// Any batch of scheduled events pops in non-decreasing time order,
-        /// and equal-time events preserve their scheduling order.
+        /// Arbitrary interleavings of schedules (clustered, duplicate and
+        /// far-future timestamps), pops and bounded pops. Every event
+        /// carries its insertion index and none is scheduled before
+        /// `now`, so `(time, FIFO)` order holds exactly when the popped
+        /// `(time, index)` pairs strictly increase over the whole run and
+        /// every event comes out. `pop_before(t)` releases an event if and
+        /// only if `peek_time() <= t`.
         #[test]
-        fn prop_pop_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-            for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-                let mut q = EventQueue::with_backend(backend);
-                for (i, &t) in times.iter().enumerate() {
-                    q.schedule(SimTime::from_nanos(t), i);
-                }
-                let mut last: Option<(SimTime, usize)> = None;
-                while let Some((t, idx)) = q.pop() {
-                    if let Some((lt, lidx)) = last {
-                        prop_assert!(t >= lt);
-                        if t == lt {
-                            prop_assert!(idx > lidx, "FIFO violated for equal times");
-                        }
-                    }
-                    last = Some((t, idx));
-                }
-            }
-        }
-
-        /// len() counts scheduled-minus-popped events.
-        #[test]
-        fn prop_len(n in 0usize..64) {
-            for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-                let mut q = EventQueue::with_backend(backend);
-                for i in 0..n {
-                    q.schedule(SimTime::from_nanos(i as u64), ());
-                }
-                prop_assert_eq!(q.len(), n);
-                let mut remaining = n;
-                while q.pop().is_some() {
-                    remaining -= 1;
-                    prop_assert_eq!(q.len(), remaining);
-                }
-                prop_assert!(q.is_empty());
-            }
-        }
-
-        /// The tentpole equivalence proof: for arbitrary interleavings of
-        /// schedules (with clustered, duplicate, and far-future timestamps)
-        /// and pops, the timing wheel's pop sequence is identical — times
-        /// AND payloads — to the `BinaryHeap` oracle's. This is the
-        /// property that makes the backend swap invisible to simulations.
-        #[test]
-        fn prop_wheel_matches_heap_oracle(
+        fn prop_pop_order(
             ops in proptest::collection::vec(
                 (0u8..5, 0u64..200, 0u64..1_000_000_000),
                 1..400,
             )
         ) {
-            let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-            let mut id = 0u64;
+            let mut q = EventQueue::new();
+            let mut next_id = 0u64;
+            let mut popped = 0u64;
+            let mut last = None;
             for (op, coarse, fine) in ops {
-                match op {
-                    // Schedule: mix tick-sharing clusters (same microsecond),
-                    // exact duplicates, spread-out times, and far-future
-                    // calendar times.
-                    0 => {
-                        let base = wheel.now().as_nanos();
-                        let at = SimTime::from_nanos(base + coarse * 997);
-                        wheel.schedule(at, id);
-                        heap.schedule(at, id);
-                        id += 1;
-                    }
-                    1 => {
-                        let base = wheel.now().as_nanos();
-                        // Dense cluster: many events inside one 1024 ns tick.
-                        let at = SimTime::from_nanos(base + (fine % 1024));
-                        wheel.schedule(at, id);
-                        heap.schedule(at, id);
-                        id += 1;
-                    }
-                    2 => {
-                        let base = wheel.now().as_nanos();
-                        // Far future: beyond the 2^46 ns wheel window.
-                        let at = SimTime::from_nanos(base + (1 << 46) + (fine % (1 << 20)));
-                        wheel.schedule(at, id);
-                        heap.schedule(at, id);
-                        id += 1;
+                let base = q.now().as_nanos();
+                let got = match op {
+                    0..=2 => {
+                        let at = match op {
+                            // Spread-out times; coarse == 0 schedules at `now`.
+                            0 => base + coarse * 997,
+                            // Dense cluster with frequent exact duplicates.
+                            1 => base + fine % 1024,
+                            // Far future.
+                            _ => base + (1 << 46) + fine % (1 << 20),
+                        };
+                        q.schedule(SimTime::from_nanos(at), next_id);
+                        next_id += 1;
+                        None
                     }
                     3 => {
-                        prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                        let a = wheel.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(a, b);
-                        prop_assert_eq!(wheel.now(), heap.now());
+                        let peeked = q.peek_time();
+                        let got = q.pop();
+                        prop_assert_eq!(got.map(|(t, _)| t), peeked);
+                        got
                     }
-                    // Bounded pop (the event-loop hot path): both backends
-                    // must agree on whether the earliest event is due.
                     _ => {
-                        let bound = SimTime::from_nanos(wheel.now().as_nanos() + fine % 4096);
-                        let a = wheel.pop_before(bound);
-                        let b = heap.pop_before(bound);
-                        prop_assert_eq!(a, b);
-                        prop_assert_eq!(wheel.now(), heap.now());
+                        let bound = SimTime::from_nanos(base + fine % 4096);
+                        let due = q.peek_time().is_some_and(|t| t <= bound);
+                        let got = q.pop_before(bound);
+                        prop_assert_eq!(got.is_some(), due, "pop_before({})", bound);
+                        got
                     }
+                };
+                if let Some(p) = got {
+                    check_pop(&mut last, p, q.now());
+                    popped += 1;
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(q.len() as u64, next_id - popped);
             }
-            // Drain both to the end: full sequences must agree.
-            loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
+            while let Some(p) = q.pop() {
+                check_pop(&mut last, p, q.now());
+                popped += 1;
             }
+            prop_assert_eq!(popped, next_id, "every scheduled event pops");
+        }
+
+        /// len() counts scheduled-minus-popped events.
+        #[test]
+        fn prop_len(n in 0usize..64) {
+            let mut q = EventQueue::new();
+            for i in 0..n {
+                q.schedule(SimTime::from_nanos(i as u64), ());
+            }
+            prop_assert_eq!(q.len(), n);
+            let mut remaining = n;
+            while q.pop().is_some() {
+                remaining -= 1;
+                prop_assert_eq!(q.len(), remaining);
+            }
+            prop_assert!(q.is_empty());
         }
     }
 }

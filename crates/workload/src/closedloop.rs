@@ -2,7 +2,9 @@
 
 use crate::retry::{RetryDecision, RetryState};
 use crate::{RateCurve, RetryPolicy, RetryStats};
-use sim_core::{Dist, SimRng, SimTime, TimerWheel};
+use sim_core::{Dist, SimRng, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// What the driver should do next, according to the user pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +56,9 @@ pub struct UserPool {
     curve: RateCurve,
     think: Dist,
     rng: SimRng,
-    /// Pending sends, ordered by `(time, user)`: the same hierarchical
-    /// timing wheel that backs `sim_core::EventQueue`, keyed by user id so
-    /// tie-breaking matches the binary heap it replaced byte-for-byte.
-    pending: TimerWheel<()>,
+    /// Pending sends, a min-heap on `(time, user)`: users due at the same
+    /// instant send, and retire, in user-id order.
+    pending: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Users currently waiting for a response.
     in_flight: u64,
     /// Users alive (thinking + in flight + pending send).
@@ -85,7 +86,7 @@ impl UserPool {
             curve,
             think,
             rng,
-            pending: TimerWheel::new(),
+            pending: BinaryHeap::new(),
             in_flight: 0,
             active: 0,
             next_user: 0,
@@ -148,7 +149,7 @@ impl UserPool {
             self.next_user += 1;
             self.active += 1;
             let delay = self.think.sample(&mut self.rng);
-            self.pending.schedule(now + delay, user, ());
+            self.pending.push(Reverse((now + delay, user)));
         }
         // Retire surplus users that are queued to send (never interrupt an
         // in-flight request).
@@ -167,15 +168,16 @@ impl UserPool {
         }
         self.rebalance(now);
         let limit = self.next_control.min(self.end());
-        match self.pending.pop_before(limit) {
-            Some((at, user, ())) => {
+        match self.pending.peek() {
+            Some(&Reverse((at, user))) if at <= limit => {
+                self.pending.pop();
                 self.in_flight += 1;
                 UserAction::Send {
                     at: at.max(now),
                     user,
                 }
             }
-            None => UserAction::Idle { until: limit },
+            _ => UserAction::Idle { until: limit },
         }
     }
 
@@ -189,7 +191,7 @@ impl UserPool {
             return;
         }
         let delay = self.think.sample(&mut self.rng);
-        self.pending.schedule(now + delay, user, ());
+        self.pending.push(Reverse((now + delay, user)));
     }
 
     /// Reports that `user`'s request finished at `now`; the user thinks and
@@ -224,7 +226,7 @@ impl UserPool {
                     self.active = self.active.saturating_sub(1);
                     return;
                 }
-                self.pending.schedule(now + backoff, user, ());
+                self.pending.push(Reverse((now + backoff, user)));
             }
             Some(RetryDecision::GiveUp) | None => self.recycle(now, user),
         }
@@ -318,6 +320,46 @@ mod tests {
         assert_eq!(p.in_flight(), 0);
     }
 
+    /// With a constant think time, users spawned on one control tick fall
+    /// due at the same instant: they send in user-id order, and a shrinking
+    /// target retires the earliest-due user first, ties by user id.
+    #[test]
+    fn equal_due_times_send_and_retire_in_user_id_order() {
+        let steady =
+            |users: f64| RateCurve::new(TraceShape::Steady, users, SimDuration::from_secs(60));
+        let mut p = UserPool::new(steady(4.0), Dist::constant_ms(100), SimRng::seed_from(3));
+        let mut sent = Vec::new();
+        for _ in 0..4 {
+            match p.next_action(SimTime::ZERO) {
+                UserAction::Send { at, user } => {
+                    assert_eq!(at, SimTime::from_millis(100));
+                    sent.push(user);
+                }
+                other => panic!("expected a send, got {other:?}"),
+            }
+        }
+        assert_eq!(sent, [0, 1, 2, 3]);
+
+        // Users 1, 2 and 3 complete together, user 0 later: 1..=3 tie
+        // at 300 ms and user 0 falls due last, at 350 ms.
+        for user in [3, 1, 2] {
+            p.on_completion(SimTime::from_millis(200), user);
+        }
+        p.on_completion(SimTime::from_millis(250), 0);
+        p.curve = steady(2.0);
+        p.rebalance(SimTime::from_secs(1));
+        assert_eq!(p.active_users(), 2);
+        let mut left: Vec<(SimTime, u64)> = p.pending.iter().map(|r| r.0).collect();
+        left.sort_unstable();
+        assert_eq!(
+            left,
+            [
+                (SimTime::from_millis(300), 3),
+                (SimTime::from_millis(350), 0)
+            ]
+        );
+    }
+
     /// Polls until the pool emits a send.
     fn first_send(p: &mut UserPool) -> (SimTime, u64) {
         let mut now = SimTime::ZERO;
@@ -341,10 +383,10 @@ mod tests {
         p.on_drop(at, user);
         assert_eq!(p.retry_stats().attempts, 1);
         assert_eq!(p.in_flight(), 0);
-        let (resend, _, _) = p
+        let &Reverse((resend, _)) = p
             .pending
             .iter()
-            .find(|(_, who, _)| *who == user)
+            .find(|Reverse((_, who))| *who == user)
             .expect("retry pending");
         assert_eq!(
             resend,
