@@ -16,12 +16,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use scg::ScgModel;
 use sim_core::{SimDuration, SimRng, SimTime};
-use sora_bench::{cart_run, CartSetup};
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
+use sora_bench::{App, ScenarioSpec, SoftAdaptation};
 use std::hint::black_box;
 use telemetry::{
     build_scatter_into, build_scatter_scan, CompletionLog, ConcurrencyTracker, ScatterScratch,
-    ServiceId,
 };
 use workload::TraceShape;
 
@@ -99,27 +97,13 @@ fn bench_control_loop(c: &mut Criterion) {
     // A miniature Cart run under the full Sora controller: every tick
     // exercises deadline propagation, scatter construction over all
     // replicas, SCG estimation, and actuation.
-    let setup = CartSetup {
-        shape: TraceShape::Steady,
-        max_users: 120.0,
-        secs: 5,
-        ..CartSetup::default()
+    let spec = ScenarioSpec {
+        soft: SoftAdaptation::Sora,
+        seed: 42,
+        ..ScenarioSpec::new(App::SockShop, TraceShape::Steady, 120.0, 5, 250)
     };
-    let cart = ServiceId(1);
     c.bench_function("sora_control_loop_5s_120users", |b| {
-        b.iter(|| {
-            let registry = ResourceRegistry::new().with(
-                SoftResource::ThreadPool { service: cart },
-                ResourceBounds { min: 5, max: 200 },
-            );
-            let config = SoraConfig {
-                sla: SimDuration::from_millis(250),
-                ..Default::default()
-            };
-            let mut ctl = SoraController::sora(config, registry, sora_core::NullController);
-            let (result, _world) = cart_run(black_box(&setup), &mut ctl);
-            black_box(result.summary.completed)
-        })
+        b.iter(|| black_box(black_box(&spec).run().summary.completed))
     });
 }
 

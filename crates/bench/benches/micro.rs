@@ -11,8 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use microsim::{Behavior, ServiceSpec, World, WorldConfig};
 use scg::{Kneedle, ScgModel};
 use sim_core::{Dist, EventQueue, SimDuration, SimRng, SimTime};
-use sora_bench::{cart_run, CartSetup};
-use sora_core::NullController;
+use sora_bench::{App, ScenarioSpec};
 use std::hint::black_box;
 use telemetry::{
     build_scatter, per_service_stats, ChildCall, CompletionLog, ConcurrencyTracker, ReplicaId,
@@ -199,18 +198,12 @@ fn bench_warehouse_queries(c: &mut Criterion) {
 fn bench_cart_end_to_end(c: &mut Criterion) {
     // A miniature §5.2 Cart run through the full Sock Shop topology —
     // workload driver, scenario loop, telemetry and warehouse included.
-    let setup = CartSetup {
-        shape: TraceShape::Steady,
-        max_users: 120.0,
-        secs: 5,
-        ..CartSetup::default()
+    let spec = ScenarioSpec {
+        seed: 42,
+        ..ScenarioSpec::new(App::SockShop, TraceShape::Steady, 120.0, 5, 400)
     };
     c.bench_function("cart_end_to_end_5s_120users", |b| {
-        b.iter(|| {
-            let mut null = NullController;
-            let (result, _world) = cart_run(black_box(&setup), &mut null);
-            black_box(result.summary.completed)
-        })
+        b.iter(|| black_box(black_box(&spec).run().summary.completed))
     });
 }
 

@@ -11,12 +11,10 @@ use cluster::Millicores;
 use scg::{LocalizeConfig, ScgConfig, ScgModel};
 use sim_core::{SimDuration, SimTime};
 use sora_bench::{
-    cart_run, job, print_table, save_json_with_perf, CartSetup, PerfMetrics, Sweep, Table,
+    job, print_table, save_json_with_perf, App, BuiltScenario, PerfMetrics, ScenarioSpec, Sweep,
+    Table,
 };
-use sora_core::{
-    EstimatorConfig, NullController, ResourceBounds, ResourceRegistry, SoftResource, SoraConfig,
-    SoraController,
-};
+use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
 use telemetry::{build_scatter, build_scatter_throughput, ServiceId};
 use workload::TraceShape;
 
@@ -28,23 +26,20 @@ fn main() {
     let mut json = serde_json::Map::new();
 
     // Record one bursty run with a generous pool for the offline ablations.
-    let setup = CartSetup {
-        shape: TraceShape::LargeVariation,
-        max_users: 2_600.0,
-        secs,
-        params: apps::SockShopParams {
-            cart_cores: 4,
-            cart_threads: 60,
-            ..Default::default()
-        },
-        report_rtt: SimDuration::from_millis(250),
+    let recorded = ScenarioSpec {
         seed: 71,
+        cart_threads: Some(60),
+        cart_cores: Some(4),
+        ..ScenarioSpec::new(
+            App::SockShop,
+            TraceShape::LargeVariation,
+            2_600.0,
+            secs,
+            250,
+        )
     };
     let sweep = Sweep::from_env();
-    let record_outcome = sweep.run(vec![job("recorded-run", move || {
-        let mut null = NullController;
-        cart_run(&setup, &mut null).1
-    })]);
+    let record_outcome = sweep.run(vec![job("recorded-run", move || recorded.run().world)]);
     let world = record_outcome.results.into_iter().next().expect("one run");
     let pod = world.ready_replicas(CART)[0];
     let conc = world.concurrency_of(pod).expect("pod");
@@ -71,6 +66,8 @@ fn main() {
     );
 
     // --- 2. deadline propagation on/off (closed loop) -------------------
+    // `SoraConfig::deadline_propagation` is not a spec field, so both arms
+    // run their own FIRM + Sora stack on the spec's world and workload.
     let firm = || {
         FirmController::new(FirmConfig {
             services: vec![CART],
@@ -100,13 +97,16 @@ fn main() {
             ..Default::default()
         };
         let mut sora = SoraController::sora(cfg, registry(), firm());
-        let dyn_setup = CartSetup {
-            shape: TraceShape::SteepTriPhase,
-            secs,
-            ..Default::default()
+        let spec = ScenarioSpec {
+            seed: 42,
+            ..ScenarioSpec::new(App::SockShop, TraceShape::SteepTriPhase, 3_500.0, secs, 400)
         };
-        let (res, _) = cart_run(&dyn_setup, &mut sora);
-        res.summary
+        let BuiltScenario {
+            mut world,
+            scenario,
+            ..
+        } = spec.build();
+        scenario.run(&mut world, &mut sora).summary
     };
     let dp_outcome = sweep.run(vec![
         job("deadline-propagation-on", move || run_with(true)),
@@ -170,7 +170,6 @@ fn main() {
     println!("expected: very short windows lack concurrency coverage (no knee);");
     println!("          60 s+ converges — the paper's 60 s window choice (§4.1)");
 
-    let _ = EstimatorConfig::default();
     save_json_with_perf(
         "ablations",
         &serde_json::Value::Object(json),

@@ -7,11 +7,12 @@
 //! weights, printing normalised goodput per allocation — the paper's six
 //! subfigures.
 
-use sim_core::SimDuration;
+use sim_core::{SimDuration, SimTime};
 use sora_bench::{
-    job, post_storage_goodput, print_table, save_json_with_perf, sweep_cart_goodput_outcome,
-    PerfMetrics, Sweep, Table,
+    job, post_storage_goodput, print_table, save_json_with_perf, App, PerfMetrics, ScenarioSpec,
+    Sweep, Table,
 };
+use workload::TraceShape;
 
 /// The paper's notion of the "optimal" allocation: the smallest pool that
 /// attains (within noise) the highest goodput.
@@ -44,14 +45,25 @@ fn main() {
     let mut perfs: Vec<PerfMetrics> = Vec::new();
 
     for (label, cores, thr_ms, users) in cart_configs {
-        let outcome = sweep_cart_goodput_outcome(
-            &cart_pools,
-            cores,
-            users,
-            secs,
-            SimDuration::from_millis(thr_ms),
-            7,
-        );
+        // Goodput after a warm-up third, per pool size.
+        let jobs = cart_pools
+            .iter()
+            .map(|&pool| {
+                let spec = ScenarioSpec {
+                    seed: 7,
+                    cart_threads: Some(pool),
+                    cart_cores: Some(cores),
+                    ..ScenarioSpec::new(App::SockShop, TraceShape::Steady, users, secs, thr_ms)
+                };
+                job(format!("cart-pool-{pool}"), move || {
+                    let world = spec.run().world;
+                    let (warmup, end) = (SimTime::from_secs(secs / 3), SimTime::from_secs(secs));
+                    let threshold = SimDuration::from_millis(thr_ms);
+                    (pool, world.client().goodput_rate(warmup, end, threshold))
+                })
+            })
+            .collect();
+        let outcome = Sweep::from_env().run(jobs);
         perfs.push(outcome.perf);
         let sweep = outcome.results;
         let max = sweep

@@ -7,28 +7,20 @@
 //! tail (sharing overhead); which allocation "wins" depends on where the
 //! threshold cuts the two distributions.
 
-use sim_core::{SimDuration, SimTime};
-use sora_bench::{cart_run, job, print_table, save_json_with_perf, CartSetup, Sweep, Table};
-use sora_core::NullController;
+use sim_core::SimDuration;
+use sora_bench::{job, print_table, save_json_with_perf, App, ScenarioSpec, Sweep, Table};
 use workload::TraceShape;
 
 const THRESHOLDS_MS: [u64; 6] = [25, 50, 100, 150, 250, 400];
 
 fn histogram_for(threads: usize, secs: u64) -> (Vec<(f64, u64)>, [u64; 6], u64) {
-    let setup = CartSetup {
-        shape: TraceShape::Steady,
-        max_users: 3_000.0,
-        secs,
-        params: apps::SockShopParams {
-            cart_cores: 4,
-            cart_threads: threads,
-            ..Default::default()
-        },
-        report_rtt: SimDuration::from_millis(250),
+    let spec = ScenarioSpec {
         seed: 13,
+        cart_threads: Some(threads),
+        cart_cores: Some(4),
+        ..ScenarioSpec::new(App::SockShop, TraceShape::Steady, 3_000.0, secs, 250)
     };
-    let mut null = NullController;
-    let (_, world) = cart_run(&setup, &mut null);
+    let world = spec.run().world;
     let hist: Vec<(f64, u64)> = world
         .client()
         .histogram()
@@ -37,7 +29,6 @@ fn histogram_for(threads: usize, secs: u64) -> (Vec<(f64, u64)>, [u64; 6], u64) 
         .collect();
     let within = |ms: u64| world.client().goodput_count(SimDuration::from_millis(ms));
     let total = world.client().total();
-    let _ = SimTime::ZERO;
     (hist, THRESHOLDS_MS.map(within), total)
 }
 

@@ -5,34 +5,30 @@
 //! way Fig. 6 diagrams it: ① critical-service localisation, ② RT-threshold
 //! propagation, ③ metrics collection, ④ estimation.
 
-use sim_core::{SimDuration, SimRng, SimTime};
-use sora_bench::{cart_run, job, print_table, CartSetup, Sweep, Table};
-use sora_core::{Monitor, NullController};
+use sim_core::{SimDuration, SimTime};
+use sora_bench::{job, print_table, App, ScenarioSpec, Sweep, Table};
+use sora_core::Monitor;
 use telemetry::build_scatter;
 use workload::TraceShape;
 
 fn main() {
     let secs = if sora_bench::quick_mode() { 90 } else { 180 };
     let sla = SimDuration::from_millis(400);
-    let setup = CartSetup {
-        shape: TraceShape::LargeVariation,
-        max_users: 3_500.0,
-        secs,
-        params: apps::SockShopParams {
-            cart_cores: 4,
-            cart_threads: 40,
-            ..Default::default()
-        },
-        report_rtt: sla,
+    let spec = ScenarioSpec {
         seed: 97,
+        cart_threads: Some(40),
+        cart_cores: Some(4),
+        ..ScenarioSpec::new(
+            App::SockShop,
+            TraceShape::LargeVariation,
+            3_500.0,
+            secs,
+            sla.as_millis(),
+        )
     };
-    let outcome = Sweep::from_env().run(vec![job("walkthrough-run", move || {
-        let mut null = NullController;
-        cart_run(&setup, &mut null).1
-    })]);
+    let outcome = Sweep::from_env().run(vec![job("walkthrough-run", move || spec.run().world)]);
     let mut world = outcome.results.into_iter().next().expect("one run");
     let now = SimTime::from_secs(secs);
-    let _ = SimRng::seed_from(0);
 
     // ① Critical-service localisation.
     let mut monitor = Monitor::new(SimDuration::from_secs(60));

@@ -3,29 +3,25 @@
 //! response-time threshold: the knee moves with the threshold.
 
 use sim_core::{SimDuration, SimTime};
-use sora_bench::{cart_run, job, print_table, save_json_with_perf, CartSetup, Sweep, Table};
-use sora_core::NullController;
+use sora_bench::{job, print_table, save_json_with_perf, App, ScenarioSpec, Sweep, Table};
 use telemetry::build_scatter;
 use workload::TraceShape;
 
 fn main() {
     let secs = if sora_bench::quick_mode() { 90 } else { 180 };
-    let setup = CartSetup {
-        shape: TraceShape::LargeVariation,
-        max_users: 2_600.0,
-        secs,
-        params: apps::SockShopParams {
-            cart_cores: 4,
-            cart_threads: 30,
-            ..Default::default()
-        },
-        report_rtt: SimDuration::from_millis(250),
+    let spec = ScenarioSpec {
         seed: 23,
+        cart_threads: Some(30),
+        cart_cores: Some(4),
+        ..ScenarioSpec::new(
+            App::SockShop,
+            TraceShape::LargeVariation,
+            2_600.0,
+            secs,
+            250,
+        )
     };
-    let outcome = Sweep::from_env().run(vec![job("scatter-run", move || {
-        let mut null = NullController;
-        cart_run(&setup, &mut null).1
-    })]);
+    let outcome = Sweep::from_env().run(vec![job("scatter-run", move || spec.run().world)]);
     let world = outcome.results.into_iter().next().expect("one run");
 
     let cart = telemetry::ServiceId(1);

@@ -7,52 +7,11 @@
 //! change. Prints the timeline panels (response time, goodput, CPU
 //! util/limit, running threads) and the summary.
 
-use autoscalers::{FirmConfig, FirmController};
-use cluster::Millicores;
-use scg::LocalizeConfig;
-use sim_core::SimDuration;
 use sora_bench::{
-    cart_run, job, print_table, save_json_with_perf, trace_secs, CartSetup, Sweep, Table,
+    job, print_table, save_json_with_perf, trace_secs, App, Hardware, ScenarioSpec, SoftAdaptation,
+    Sweep, Table,
 };
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
-use telemetry::ServiceId;
 use workload::TraceShape;
-
-/// Sock Shop service-id layout (fixed by construction order).
-const CART: ServiceId = ServiceId(1);
-
-fn firm_config() -> FirmConfig {
-    FirmConfig {
-        // FIRM manages the Cart instance's CPU, 1–4 cores in 1-core steps.
-        services: vec![CART],
-        localize: LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        },
-        min_limit: Millicores::from_cores(1),
-        max_limit: Millicores::from_cores(4),
-        ..Default::default()
-    }
-}
-
-fn sora_over_firm() -> SoraController<FirmController> {
-    let registry = ResourceRegistry::new().with(
-        SoftResource::ThreadPool { service: CART },
-        ResourceBounds { min: 5, max: 200 },
-    );
-    SoraController::sora(
-        SoraConfig {
-            sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-        registry,
-        FirmController::new(firm_config()),
-    )
-}
 
 fn print_timeline(name: &str, result: &apps::RunResult) {
     let mut table = Table::new(vec![
@@ -96,30 +55,29 @@ fn print_timeline(name: &str, result: &apps::RunResult) {
 }
 
 fn main() {
-    let setup = CartSetup {
-        shape: TraceShape::SteepTriPhase,
-        secs: trace_secs(),
-        ..Default::default()
+    // `scenarios/fig10_sora.json` is the Sora arm at full length.
+    let arm = |soft| ScenarioSpec {
+        hardware: Hardware::Firm,
+        soft,
+        seed: 42,
+        ..ScenarioSpec::new(
+            App::SockShop,
+            TraceShape::SteepTriPhase,
+            3_500.0,
+            trace_secs(),
+            400,
+        )
     };
-
+    let (firm, sora) = (arm(SoftAdaptation::None), arm(SoftAdaptation::Sora));
     let outcome = Sweep::from_env().run(vec![
-        job("firm-only", move || {
-            let mut firm_only = FirmController::new(firm_config());
-            (cart_run(&setup, &mut firm_only).0, Vec::new())
-        }),
-        job("firm+sora", move || {
-            let mut sora = sora_over_firm();
-            let result = cart_run(&setup, &mut sora).0;
-            let actions = sora.actions().to_vec();
-            (result, actions)
-        }),
+        job("firm-only", move || firm.run().result),
+        job("firm+sora", move || sora.run().result),
     ]);
     let mut results = outcome.results.into_iter();
-    let (firm_result, _) = results.next().expect("firm run");
-    let (sora_result, sora_actions) = results.next().expect("sora run");
+    let firm_result = results.next().expect("firm run");
+    let sora_result = results.next().expect("sora run");
     print_timeline("FIRM", &firm_result);
     print_timeline("FIRM + Sora", &sora_result);
-    println!("sora actuations: {sora_actions:?}");
 
     // The paper's headline: Sora stabilises the fluctuation and cuts tail
     // latency (2.2× on average across traces).
@@ -162,9 +120,6 @@ fn main() {
                 "rt": sora_result.rt_timeline,
                 "goodput": sora_result.goodput_timeline,
                 "summary": sora_result.summary,
-                "actions": sora_actions.iter()
-                    .map(|(t, r, v)| (t.as_secs_f64(), r.clone(), *v))
-                    .collect::<Vec<_>>(),
             },
         }),
         &outcome.perf,

@@ -6,72 +6,33 @@
 //! Sora's deadline-aware SCG model stops at the knee (the paper's 40 vs 30
 //! threads after the Cart scales to 4 cores).
 
-use autoscalers::{VpaConfig, VpaController};
-use cluster::Millicores;
-use scg::LocalizeConfig;
-use sim_core::SimDuration;
 use sora_bench::{
-    cart_run, job, print_table, save_json_with_perf, trace_secs, CartSetup, Sweep, Table,
+    job, print_table, save_json_with_perf, trace_secs, App, Hardware, ScenarioSpec, SoftAdaptation,
+    Sweep, Table,
 };
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
-use telemetry::ServiceId;
 use workload::TraceShape;
 
-const CART: ServiceId = ServiceId(1);
-
-fn vpa() -> VpaController {
-    VpaController::new(
-        CART,
-        VpaConfig {
-            min_limit: Millicores::from_cores(1),
-            max_limit: Millicores::from_cores(4),
-            ..Default::default()
-        },
-    )
-}
-
-fn registry() -> ResourceRegistry {
-    ResourceRegistry::new().with(
-        SoftResource::ThreadPool { service: CART },
-        ResourceBounds { min: 5, max: 200 },
-    )
-}
-
-fn config() -> SoraConfig {
-    SoraConfig {
-        sla: SimDuration::from_millis(400),
-        localize: LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        },
-        ..Default::default()
-    }
-}
-
 fn main() {
-    let setup = CartSetup {
-        shape: TraceShape::LargeVariation,
-        secs: trace_secs(),
-        ..Default::default()
+    let arm = |soft| ScenarioSpec {
+        hardware: Hardware::Vpa,
+        soft,
+        seed: 42,
+        ..ScenarioSpec::new(
+            App::SockShop,
+            TraceShape::LargeVariation,
+            3_500.0,
+            trace_secs(),
+            400,
+        )
     };
-
+    let (conscale, sora) = (arm(SoftAdaptation::Conscale), arm(SoftAdaptation::Sora));
     let outcome = Sweep::from_env().run(vec![
-        job("conscale", move || {
-            let mut conscale = SoraController::conscale(config(), registry(), vpa());
-            let res = cart_run(&setup, &mut conscale).0;
-            let actions = conscale.actions().to_vec();
-            (res, actions)
-        }),
-        job("sora", move || {
-            let mut sora = SoraController::sora(config(), registry(), vpa());
-            let res = cart_run(&setup, &mut sora).0;
-            let actions = sora.actions().to_vec();
-            (res, actions)
-        }),
+        job("conscale", move || conscale.run().result),
+        job("sora", move || sora.run().result),
     ]);
     let mut results = outcome.results.into_iter();
-    let (con_res, con_actions) = results.next().expect("conscale run");
-    let (sora_res, sora_actions) = results.next().expect("sora run");
+    let con_res = results.next().expect("conscale run");
+    let sora_res = results.next().expect("sora run");
 
     let mut table = Table::new(vec!["metric", "ConScale (SCT)", "Sora (SCG)"]);
     table.row(vec![
@@ -98,11 +59,6 @@ fn main() {
     print_table(
         "Fig. 11 — ConScale vs Sora (Large Variation, VPA base)",
         &table,
-    );
-    println!(
-        "actions (last 5): conscale {:?} | sora {:?}",
-        con_actions.iter().rev().take(5).collect::<Vec<_>>(),
-        sora_actions.iter().rev().take(5).collect::<Vec<_>>()
     );
     println!("paper's claim: SCT over-allocates (40 threads) vs SCG (30); goodput Sora > ConScale");
 

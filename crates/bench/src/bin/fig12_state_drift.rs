@@ -7,28 +7,11 @@
 //! re-estimates the per-replica optimum and sizes the pool as
 //! optimum × replicas (the paper's "120 connections for 4 replicas").
 
-use autoscalers::{HpaConfig, HpaController};
-use scg::LocalizeConfig;
-use sim_core::SimDuration;
 use sora_bench::{
-    drift_run, job, print_table, save_json_with_perf, trace_secs, DriftSetup, Sweep, Table,
+    job, print_table, save_json_with_perf, trace_secs, App, Hardware, ScenarioSpec, SoftAdaptation,
+    Sweep, Table,
 };
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
-use telemetry::ServiceId;
-
-/// Social Network id layout (fixed by construction order).
-const HOME_TIMELINE: ServiceId = ServiceId(1);
-const POST_STORAGE: ServiceId = ServiceId(2);
-
-fn hpa() -> HpaController {
-    HpaController::new(
-        POST_STORAGE,
-        HpaConfig {
-            max_replicas: 6,
-            ..Default::default()
-        },
-    )
-}
+use workload::TraceShape;
 
 fn print_timeline(name: &str, result: &apps::RunResult) {
     let mut table = Table::new(vec![
@@ -72,48 +55,30 @@ fn print_timeline(name: &str, result: &apps::RunResult) {
 
 fn main() {
     let secs = trace_secs();
-    let setup = DriftSetup {
-        secs,
+    // `scenarios/drift_hpa_only.json` is the HPA arm at full length.
+    let arm = |soft| ScenarioSpec {
+        hardware: Hardware::Hpa,
+        soft,
+        seed: 77,
         drift_at_secs: Some(secs * 451 / 720), // scale the paper's 451 s mark
-        ..Default::default()
+        ..ScenarioSpec::new(
+            App::SocialNetwork,
+            TraceShape::LargeVariation,
+            4_500.0,
+            secs,
+            400,
+        )
     };
-
+    let (hpa, sora) = (arm(SoftAdaptation::None), arm(SoftAdaptation::Sora));
     let outcome = Sweep::from_env().run(vec![
-        job("hpa-only", move || {
-            let mut hpa_only = hpa();
-            (drift_run(&setup, &mut hpa_only).0, Vec::new())
-        }),
-        job("hpa+sora", move || {
-            let registry = ResourceRegistry::new().with(
-                SoftResource::ConnPool {
-                    caller: HOME_TIMELINE,
-                    target: POST_STORAGE,
-                },
-                ResourceBounds { min: 4, max: 256 },
-            );
-            let mut sora = SoraController::sora(
-                SoraConfig {
-                    sla: SimDuration::from_millis(400),
-                    localize: LocalizeConfig {
-                        min_on_path: 30,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-                registry,
-                hpa(),
-            );
-            let res = drift_run(&setup, &mut sora).0;
-            let actions = sora.actions().to_vec();
-            (res, actions)
-        }),
+        job("hpa-only", move || hpa.run().result),
+        job("hpa+sora", move || sora.run().result),
     ]);
     let mut results = outcome.results.into_iter();
-    let (hpa_res, _) = results.next().expect("hpa run");
-    let (sora_res, sora_actions) = results.next().expect("sora run");
+    let hpa_res = results.next().expect("hpa run");
+    let sora_res = results.next().expect("sora run");
     print_timeline("Kubernetes HPA (static connections)", &hpa_res);
     print_timeline("HPA + Sora (adaptive connections)", &sora_res);
-    println!("sora actuations: {sora_actions:?}");
 
     println!("\n== Fig. 12 verdict ==");
     println!(
@@ -147,9 +112,6 @@ fn main() {
                 "rt": sora_res.rt_timeline,
                 "goodput": sora_res.goodput_timeline,
                 "summary": sora_res.summary,
-                "actions": sora_actions.iter()
-                    .map(|(t, r, v)| (t.as_secs_f64(), r.clone(), *v))
-                    .collect::<Vec<_>>(),
             },
         }),
         &outcome.perf,

@@ -15,24 +15,12 @@ use workload::TraceShape;
 
 fn template() -> ScenarioSpec {
     ScenarioSpec {
-        app: App::SockShop,
-        trace: TraceShape::SteepTriPhase,
-        max_users: 3_500.0,
-        duration_secs: 720,
-        sla_ms: 400,
         hardware: Hardware::Firm,
         soft: SoftAdaptation::Sora,
         seed: 42,
         cart_threads: Some(5),
         cart_cores: Some(2),
-        home_timeline_conns: None,
-        drift_at_secs: None,
-        shards: None,
-        services: None,
-        topo_seed: None,
-        retry: None,
-        net: None,
-        faults: Vec::new(),
+        ..ScenarioSpec::new(App::SockShop, TraceShape::SteepTriPhase, 3_500.0, 720, 400)
     }
 }
 

@@ -5,64 +5,28 @@
 //! fan out across the [`Sweep`] harness; table rows are assembled from the
 //! index-ordered results, so the output is byte-identical at any job count.
 
-use autoscalers::{FirmConfig, FirmController};
-use cluster::Millicores;
-use scg::LocalizeConfig;
-use sim_core::SimDuration;
 use sora_bench::{
-    cart_run, job, print_table, save_json_with_perf, trace_secs, CartSetup, Sweep, Table,
+    job, print_table, save_json_with_perf, trace_secs, App, Hardware, ScenarioSpec, SoftAdaptation,
+    Sweep, Table,
 };
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
-use telemetry::ServiceId;
 use workload::TraceShape;
-
-const CART: ServiceId = ServiceId(1);
-
-fn firm_config() -> FirmConfig {
-    FirmConfig {
-        services: vec![CART],
-        localize: LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        },
-        min_limit: Millicores::from_cores(1),
-        max_limit: Millicores::from_cores(4),
-        ..Default::default()
-    }
-}
 
 fn main() {
     let secs = trace_secs();
     let mut jobs = Vec::new();
     for shape in TraceShape::ALL {
-        let setup = CartSetup {
-            shape,
-            secs,
-            ..Default::default()
-        };
-        jobs.push(job(format!("firm/{shape}"), move || {
-            let mut firm = FirmController::new(firm_config());
-            cart_run(&setup, &mut firm).0.summary
-        }));
-        jobs.push(job(format!("sora/{shape}"), move || {
-            let registry = ResourceRegistry::new().with(
-                SoftResource::ThreadPool { service: CART },
-                ResourceBounds { min: 5, max: 200 },
-            );
-            let mut sora = SoraController::sora(
-                SoraConfig {
-                    sla: SimDuration::from_millis(400),
-                    localize: LocalizeConfig {
-                        min_on_path: 30,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-                registry,
-                FirmController::new(firm_config()),
-            );
-            cart_run(&setup, &mut sora).0.summary
-        }));
+        for (name, soft) in [
+            ("firm", SoftAdaptation::None),
+            ("sora", SoftAdaptation::Sora),
+        ] {
+            let spec = ScenarioSpec {
+                hardware: Hardware::Firm,
+                soft,
+                seed: 42,
+                ..ScenarioSpec::new(App::SockShop, shape, 3_500.0, secs, 400)
+            };
+            jobs.push(job(format!("{name}/{shape}"), move || spec.run().summary));
+        }
     }
     let outcome = Sweep::from_env().run(jobs);
 

@@ -5,61 +5,27 @@
 //! [`Sweep`] harness; rows are assembled from index-ordered results so the
 //! tables are byte-identical at any job count.
 
-use autoscalers::{VpaConfig, VpaController};
-use cluster::Millicores;
-use scg::LocalizeConfig;
 use sim_core::{SimDuration, SimTime};
 use sora_bench::{
-    cart_run, job, print_table, save_json_with_perf, trace_secs, CartSetup, Sweep, Table,
+    job, print_table, save_json_with_perf, trace_secs, App, Hardware, ScenarioSpec, SoftAdaptation,
+    Sweep, Table,
 };
-use sora_core::{ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController};
-use telemetry::ServiceId;
 use workload::TraceShape;
 
-const CART: ServiceId = ServiceId(1);
-
-fn vpa() -> VpaController {
-    VpaController::new(
-        CART,
-        VpaConfig {
-            min_limit: Millicores::from_cores(1),
-            max_limit: Millicores::from_cores(4),
-            ..Default::default()
-        },
-    )
-}
-
-fn run(shape: TraceShape, sla_ms: u64, latency_aware: bool, secs: u64) -> (f64, f64) {
-    let setup = CartSetup {
-        shape,
-        secs,
-        report_rtt: SimDuration::from_millis(sla_ms),
-        ..Default::default()
+fn run(shape: TraceShape, sla_ms: u64, soft: SoftAdaptation, secs: u64) -> (f64, f64) {
+    let spec = ScenarioSpec {
+        hardware: Hardware::Vpa,
+        soft,
+        seed: 42,
+        ..ScenarioSpec::new(App::SockShop, shape, 3_500.0, secs, sla_ms)
     };
-    let registry = ResourceRegistry::new().with(
-        SoftResource::ThreadPool { service: CART },
-        ResourceBounds { min: 5, max: 200 },
-    );
-    let config = SoraConfig {
-        sla: SimDuration::from_millis(sla_ms),
-        localize: LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut ctl = if latency_aware {
-        SoraController::sora(config, registry, vpa())
-    } else {
-        SoraController::conscale(config, registry, vpa())
-    };
-    let (res, world) = cart_run(&setup, &mut ctl);
-    let goodput = world.client().goodput_rate(
+    let outcome = spec.run();
+    let goodput = outcome.world.client().goodput_rate(
         SimTime::ZERO,
         SimTime::from_secs(secs),
         SimDuration::from_millis(sla_ms),
     );
-    (goodput, res.summary.p99_ms)
+    (goodput, outcome.summary.p99_ms)
 }
 
 fn main() {
@@ -67,10 +33,12 @@ fn main() {
     let mut jobs = Vec::new();
     for sla_ms in [250u64, 500] {
         for shape in TraceShape::ALL {
-            for latency_aware in [false, true] {
-                let kind = if latency_aware { "sora" } else { "conscale" };
+            for (kind, soft) in [
+                ("conscale", SoftAdaptation::Conscale),
+                ("sora", SoftAdaptation::Sora),
+            ] {
                 jobs.push(job(format!("{kind}/{shape}@{sla_ms}ms"), move || {
-                    run(shape, sla_ms, latency_aware, secs)
+                    run(shape, sla_ms, soft, secs)
                 }));
             }
         }

@@ -1,6 +1,8 @@
-//! Declarative scenario configuration for the `run_scenario` CLI: describe
-//! an experiment as JSON (application, workload trace, controller stack,
-//! SLA) and run it without writing Rust.
+//! Declarative scenario configuration: describe an experiment as JSON
+//! (application, workload trace, controller stack, SLA) and run it without
+//! writing Rust. [`ScenarioSpec::build`] is the one builder of Sock Shop
+//! Cart and Social Network read-home-timeline runs: the paper binaries,
+//! `run_scenario`, `sora-server`, the fuzzer and the perf ledger all use it.
 
 use apps::{
     RunResult, Scenario, ScenarioConfig, SocialNetwork, SocialNetworkParams, SockShop,
@@ -8,7 +10,7 @@ use apps::{
 };
 use autoscalers::{FirmConfig, FirmController, HpaConfig, HpaController, VpaConfig, VpaController};
 use cluster::{Millicores, NodeId};
-use microsim::{BlackoutMode, FaultSchedule, World, WorldConfig};
+use microsim::{BlackoutMode, FaultSchedule, World};
 use net::{EdgeParams, NetworkConfig};
 use scg::LocalizeConfig;
 use serde::{Deserialize, Serialize};
@@ -488,6 +490,38 @@ impl ScenarioSpec {
         "faults",
     ];
 
+    /// A spec with the five required fields, no controller (`hardware` and
+    /// `soft` both `none`), seed 0 and every optional field unset. Callers
+    /// set the rest with struct-update syntax.
+    pub fn new(
+        app: App,
+        trace: TraceShape,
+        max_users: f64,
+        duration_secs: u64,
+        sla_ms: u64,
+    ) -> ScenarioSpec {
+        ScenarioSpec {
+            app,
+            trace,
+            max_users,
+            duration_secs,
+            sla_ms,
+            hardware: Hardware::None,
+            soft: SoftAdaptation::None,
+            seed: 0,
+            cart_threads: None,
+            cart_cores: None,
+            home_timeline_conns: None,
+            drift_at_secs: None,
+            shards: None,
+            services: None,
+            topo_seed: None,
+            retry: None,
+            net: None,
+            faults: Vec::new(),
+        }
+    }
+
     /// Parses and validates a scenario config, reporting the first problem
     /// as a typed [`ScenarioError`]: malformed JSON, an unknown field, a
     /// field that fails to deserialize, an out-of-range value, or an
@@ -940,8 +974,14 @@ impl ScenarioSpec {
                 ..Default::default()
             })),
         };
-        let registry =
-            ResourceRegistry::new().with(self.soft_resource(), ResourceBounds { min: 2, max: 256 });
+        // Sock Shop's Cart pool stays at or above the 5 threads that suit
+        // its 2-core starting limit (DESIGN §7); a floor of 2 let Sora
+        // shrink it below that and lose to FIRM alone.
+        let bounds = match self.app {
+            App::SockShop => ResourceBounds { min: 5, max: 200 },
+            App::SocialNetwork | App::Generated => ResourceBounds { min: 2, max: 256 },
+        };
+        let registry = ResourceRegistry::new().with(self.soft_resource(), bounds);
         let sora_config = SoraConfig {
             sla: SimDuration::from_millis(self.sla_ms),
             localize: LocalizeConfig {
@@ -965,10 +1005,7 @@ impl ScenarioSpec {
     /// `build()` followed by `Scenario::run`, so both paths produce
     /// byte-identical results.
     pub fn build(&self) -> BuiltScenario {
-        let world_config = WorldConfig {
-            trace_sample_every: 10,
-            ..Default::default()
-        };
+        let world_config = crate::scenarios::run_world_config();
         let curve = RateCurve::new(
             self.trace,
             self.max_users,
@@ -1191,24 +1228,8 @@ mod tests {
 
     fn base() -> ScenarioSpec {
         ScenarioSpec {
-            app: App::SockShop,
-            trace: TraceShape::Steady,
-            max_users: 400.0,
-            duration_secs: 30,
-            sla_ms: 400,
-            hardware: Hardware::None,
-            soft: SoftAdaptation::None,
             seed: 3,
-            cart_threads: None,
-            cart_cores: None,
-            home_timeline_conns: None,
-            drift_at_secs: None,
-            shards: None,
-            services: None,
-            topo_seed: None,
-            retry: None,
-            net: None,
-            faults: Vec::new(),
+            ..ScenarioSpec::new(App::SockShop, TraceShape::Steady, 400.0, 30, 400)
         }
     }
 
@@ -1349,6 +1370,19 @@ mod tests {
         };
         let outcome = spec.run();
         assert!(outcome.summary.completed > 1_000);
+    }
+
+    #[test]
+    fn sock_shop_sora_keeps_the_cart_pool_at_five_or_more() {
+        let spec = ScenarioSpec {
+            hardware: Hardware::Firm,
+            soft: SoftAdaptation::Sora,
+            seed: 42,
+            ..ScenarioSpec::new(App::SockShop, TraceShape::QuickVarying, 1_500.0, 45, 400)
+        };
+        let outcome = spec.run();
+        let min = outcome.result.timeline.iter().map(|r| r.thread_limit).min();
+        assert!(min >= Some(5), "Cart pool fell to {min:?}");
     }
 
     #[test]

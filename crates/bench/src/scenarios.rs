@@ -1,13 +1,15 @@
-//! Scenario presets calibrated to the paper's experimental setups.
+//! Hand-built worlds for the experiments that need something
+//! [`ScenarioSpec`](crate::ScenarioSpec) does not carry: the Catalogue
+//! path, Catalogue-db pool and core knobs, and a 4-core Post Storage
+//! (DESIGN §4 lists each one and why). Every Sock Shop Cart and Social
+//! Network read-home-timeline run goes through the spec instead.
 
-use apps::{
-    RunResult, Scenario, ScenarioConfig, SocialNetwork, SocialNetworkParams, SockShop,
-    SockShopParams, Watch,
-};
+use apps::{Scenario, ScenarioConfig, SocialNetwork, SocialNetworkParams, SockShopParams, Watch};
 use microsim::{World, WorldConfig};
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
-use sora_core::Controller;
 use workload::{Mix, RateCurve, TraceShape, UserPool};
+
+use crate::{App, ScenarioSpec};
 
 /// Mean user think time (the RUBBoS emulation): 3 500 users at ~2.5 s think
 /// time offer ≈ 1 400 req/s at peak — just inside a 4-core Cart's capacity
@@ -15,215 +17,15 @@ use workload::{Mix, RateCurve, TraceShape, UserPool};
 /// paper's Figs. 10–11 operate in.
 pub const THINK_MS: f64 = 2_500.0;
 
-/// A Sock Shop Cart-path experiment.
-#[derive(Debug, Clone, Copy)]
-pub struct CartSetup {
-    /// The workload trace shape.
-    pub shape: TraceShape,
-    /// Maximum concurrent users (3 500 in §5.2).
-    pub max_users: f64,
-    /// Run length in seconds (720 in the paper).
-    pub secs: u64,
-    /// Topology knobs.
-    pub params: SockShopParams,
-    /// Goodput threshold for reporting.
-    pub report_rtt: SimDuration,
-    /// Run seed.
-    pub seed: u64,
-}
-
-impl Default for CartSetup {
-    fn default() -> Self {
-        CartSetup {
-            shape: TraceShape::SteepTriPhase,
-            max_users: 3_500.0,
-            secs: 720,
-            params: SockShopParams::default(),
-            report_rtt: SimDuration::from_millis(400),
-            seed: 42,
-        }
-    }
-}
-
 /// World config for full-length runs: sampled trace warehouse so a
 /// 12-minute, ~1 400 req/s run keeps bounded memory (the metrics samplers
-/// feeding the SCG model are unaffected by warehouse sampling).
-fn run_world_config() -> WorldConfig {
+/// feeding the SCG model are unaffected by warehouse sampling). Shared with
+/// [`ScenarioSpec::build`].
+pub(crate) fn run_world_config() -> WorldConfig {
     WorldConfig {
         trace_sample_every: 10,
         ..WorldConfig::default()
     }
-}
-
-/// Builds the Sock Shop world for a [`CartSetup`] (exposed for experiments
-/// that need direct world access, e.g. the Fig. 4 histogram study).
-pub fn cart_world(setup: &CartSetup) -> SockShop {
-    SockShop::build_with_config(
-        setup.params,
-        run_world_config(),
-        SimRng::seed_from(setup.seed),
-    )
-}
-
-/// Runs a Cart-path scenario under `controller`, returning the run result
-/// and the final world (whose client log allows extra post-hoc queries,
-/// e.g. goodput under several thresholds for Table 3).
-pub fn cart_run(setup: &CartSetup, controller: &mut dyn Controller) -> (RunResult, World) {
-    let mut shop = cart_world(setup);
-    let curve = RateCurve::new(
-        setup.shape,
-        setup.max_users,
-        SimDuration::from_secs(setup.secs),
-    );
-    let pool = UserPool::new(
-        curve,
-        Dist::exponential_ms(THINK_MS),
-        SimRng::seed_from(setup.seed ^ 0x9e37),
-    );
-    let watch = Watch {
-        service: shop.cart,
-        conns: None,
-    };
-    let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: setup.report_rtt,
-            ..Default::default()
-        },
-        pool,
-        Mix::single(shop.get_cart),
-        watch,
-    );
-    let result = scenario.run(&mut shop.world, controller);
-    (result, shop.world)
-}
-
-/// Sweeps the Cart thread pool under a steady workload (the Figs. 3(a–d) /
-/// 9(a) validation methodology): returns `(pool_size, goodput_rps)` pairs,
-/// goodput measured against `threshold` after a warm-up third.
-///
-/// The per-pool runs are independent and fan out across the [`crate::Sweep`]
-/// harness ([`crate::Sweep::from_env`] resolves the worker count); pairs come
-/// back in `pool_sizes` order regardless of completion order.
-pub fn sweep_cart_goodput(
-    pool_sizes: &[usize],
-    cart_cores: u32,
-    users: f64,
-    secs: u64,
-    threshold: SimDuration,
-    seed: u64,
-) -> Vec<(usize, f64)> {
-    sweep_cart_goodput_outcome(pool_sizes, cart_cores, users, secs, threshold, seed).results
-}
-
-/// [`sweep_cart_goodput`] with the sweep's perf record attached (for
-/// binaries archiving wall-clock into `results/*.json`).
-pub fn sweep_cart_goodput_outcome(
-    pool_sizes: &[usize],
-    cart_cores: u32,
-    users: f64,
-    secs: u64,
-    threshold: SimDuration,
-    seed: u64,
-) -> crate::SweepOutcome<(usize, f64)> {
-    let jobs = pool_sizes
-        .iter()
-        .map(|&pool| {
-            crate::job(format!("cart-pool-{pool}"), move || {
-                let setup = CartSetup {
-                    shape: TraceShape::Steady,
-                    max_users: users,
-                    secs,
-                    params: SockShopParams {
-                        cart_cores,
-                        cart_threads: pool,
-                        ..SockShopParams::default()
-                    },
-                    report_rtt: threshold,
-                    seed,
-                };
-                let mut null = sora_core::NullController;
-                let (_, world) = cart_run(&setup, &mut null);
-                let warmup = SimTime::from_secs(secs / 3);
-                let end = SimTime::from_secs(secs);
-                (pool, world.client().goodput_rate(warmup, end, threshold))
-            })
-        })
-        .collect();
-    crate::Sweep::from_env().run(jobs)
-}
-
-/// A Social Network read-home-timeline experiment (the §5.3 setup).
-#[derive(Debug, Clone, Copy)]
-pub struct DriftSetup {
-    /// The workload trace shape.
-    pub shape: TraceShape,
-    /// Maximum concurrent users (4 500 in §5.3).
-    pub max_users: f64,
-    /// Run length in seconds.
-    pub secs: u64,
-    /// When the request type flips from light to heavy (451 s in Fig. 12);
-    /// `None` disables the drift.
-    pub drift_at_secs: Option<u64>,
-    /// Topology knobs.
-    pub params: SocialNetworkParams,
-    /// Goodput threshold for reporting.
-    pub report_rtt: SimDuration,
-    /// Run seed.
-    pub seed: u64,
-}
-
-impl Default for DriftSetup {
-    fn default() -> Self {
-        DriftSetup {
-            shape: TraceShape::LargeVariation,
-            max_users: 4_500.0,
-            secs: 720,
-            drift_at_secs: Some(451),
-            params: SocialNetworkParams::default(),
-            report_rtt: SimDuration::from_millis(400),
-            seed: 77,
-        }
-    }
-}
-
-/// Runs a Social Network scenario with the optional light→heavy drift.
-pub fn drift_run(setup: &DriftSetup, controller: &mut dyn Controller) -> (RunResult, World) {
-    let mut sn = SocialNetwork::build_with_config(
-        setup.params,
-        run_world_config(),
-        SimRng::seed_from(setup.seed),
-    );
-    let curve = RateCurve::new(
-        setup.shape,
-        setup.max_users,
-        SimDuration::from_secs(setup.secs),
-    );
-    let pool = UserPool::new(
-        curve,
-        Dist::exponential_ms(THINK_MS),
-        SimRng::seed_from(setup.seed ^ 0x51ca),
-    );
-    let watch = Watch {
-        service: sn.post_storage,
-        conns: Some((sn.home_timeline, sn.post_storage)),
-    };
-    let mut scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: setup.report_rtt,
-            ..Default::default()
-        },
-        pool,
-        Mix::single(sn.read_home_timeline_light),
-        watch,
-    );
-    if let Some(at) = setup.drift_at_secs {
-        scenario = scenario.with_mix_change(
-            SimTime::from_secs(at),
-            Mix::single(sn.read_home_timeline_heavy),
-        );
-    }
-    let result = scenario.run(&mut sn.world, controller);
-    (result, sn.world)
 }
 
 /// Goodput of the read-home-timeline path for one Home-Timeline →
@@ -278,51 +80,6 @@ pub fn post_storage_goodput(
     sn.world
         .client()
         .goodput_rate(warmup, SimTime::from_secs(secs), threshold)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sora_core::NullController;
-
-    #[test]
-    fn cart_run_produces_sane_short_run() {
-        let setup = CartSetup {
-            secs: 30,
-            max_users: 400.0,
-            shape: TraceShape::Steady,
-            ..Default::default()
-        };
-        let mut ctl = NullController;
-        let (res, world) = cart_run(&setup, &mut ctl);
-        assert!(res.summary.completed > 2_000, "{:?}", res.summary);
-        assert!(world.client().total() == res.summary.completed);
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        let a = sweep_cart_goodput(&[5, 30], 2, 400.0, 20, SimDuration::from_millis(250), 1);
-        let b = sweep_cart_goodput(&[5, 30], 2, 400.0, 20, SimDuration::from_millis(250), 1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn drift_run_switches_request_type() {
-        let setup = DriftSetup {
-            secs: 30,
-            max_users: 300.0,
-            drift_at_secs: Some(15),
-            shape: TraceShape::Steady,
-            ..Default::default()
-        };
-        let mut ctl = NullController;
-        let (res, _world) = drift_run(&setup, &mut ctl);
-        assert!(res.summary.completed > 1_000);
-        // Heavy phase raises mean RT visibly.
-        let early: f64 = res.rt_timeline[3..12].iter().map(|p| p.1).sum::<f64>() / 9.0;
-        let late: f64 = res.rt_timeline[20..28].iter().map(|p| p.1).sum::<f64>() / 8.0;
-        assert!(late > early, "drift raises RT: {early:.1} → {late:.1}");
-    }
 }
 
 /// One of the three monitored-service case studies of Figs. 9 / Table 1:
@@ -385,22 +142,21 @@ impl MonitoredCase {
     fn run_inner(self, allocation: usize, secs: u64, seed: u64) -> World {
         match self {
             MonitoredCase::CartThreads => {
-                let setup = CartSetup {
-                    shape: TraceShape::Steady,
+                let spec = ScenarioSpec {
+                    seed,
+                    cart_threads: Some(allocation),
+                    cart_cores: Some(4),
                     // ρ ≈ 0.85 at the generous allocation: the estimation
                     // run must fluctuate, not sit pinned in overload.
-                    max_users: 2_600.0,
-                    secs,
-                    params: SockShopParams {
-                        cart_cores: 4,
-                        cart_threads: allocation,
-                        ..Default::default()
-                    },
-                    report_rtt: self.threshold(),
-                    seed,
+                    ..ScenarioSpec::new(
+                        App::SockShop,
+                        TraceShape::Steady,
+                        2_600.0,
+                        secs,
+                        self.threshold().as_millis(),
+                    )
                 };
-                let mut null = sora_core::NullController;
-                cart_run(&setup, &mut null).1
+                spec.run().world
             }
             MonitoredCase::CatalogueConns => {
                 let mut shop = apps::SockShop::build_with_config(
@@ -504,5 +260,26 @@ impl MonitoredCase {
             }
         }
         pts
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drift_run_switches_request_type() {
+        let spec = ScenarioSpec {
+            seed: 77,
+            drift_at_secs: Some(15),
+            ..ScenarioSpec::new(App::SocialNetwork, TraceShape::Steady, 300.0, 30, 400)
+        };
+        let outcome = spec.run();
+        assert!(outcome.summary.completed > 1_000);
+        // Heavy phase raises mean RT visibly.
+        let rt = &outcome.result.rt_timeline;
+        let early: f64 = rt[3..12].iter().map(|p| p.1).sum::<f64>() / 9.0;
+        let late: f64 = rt[20..28].iter().map(|p| p.1).sum::<f64>() / 8.0;
+        assert!(late > early, "drift raises RT: {early:.1} → {late:.1}");
     }
 }

@@ -16,7 +16,7 @@ use sora_bench::ScenarioSpec;
 /// result. Bump it whenever simulation output can change: every cache
 /// entry written under the old revision then misses instead of serving
 /// stale bytes.
-pub const ENGINE_FINGERPRINT: &str = "sora-sim/rev-2";
+pub const ENGINE_FINGERPRINT: &str = "sora-sim/rev-3";
 
 /// Recursively canonicalizes a JSON value: object keys sorted
 /// lexicographically, and numbers normalised (a float with zero fractional

@@ -285,6 +285,37 @@ AFTER=$(ls "$LANE/ck" | grep -c '^[0-9a-f].*\.json$')
 [ "$AFTER" -eq 6 ] || { echo "resume left $AFTER of 6 results"; exit 1; }
 rm -rf "$LANE"
 
+echo "==> Fig. 10 is the spec path (fig10 --quick arms = run-local of scenarios/fig10_sora.json)"
+# The paper binaries build every run through ScenarioSpec, so Fig. 10's
+# Sora arm is scenarios/fig10_sora.json and its FIRM arm the same spec
+# with "soft": "none". At the quick length (180 s) both arms' timeline,
+# rt, goodput and summary must equal sora-server's in-process result.
+cp results/fig10_firm_vs_sora.json /tmp/fig10_golden.json
+cargo build -q --release -p sora-bench --bin fig10_firm_vs_sora
+./target/release/fig10_firm_vs_sora --quick > /dev/null 2>&1
+LANE=$(mktemp -d /tmp/fig10-lane.XXXXXX)
+python3 - "$LANE" <<'EOF'
+import json, sys
+spec = json.load(open("scenarios/fig10_sora.json"))
+spec["duration_secs"] = 180
+json.dump(spec, open(sys.argv[1] + "/sora.json", "w"))
+spec["soft"] = "none"
+json.dump(spec, open(sys.argv[1] + "/firm.json", "w"))
+EOF
+"$SRV" run-local "$LANE/sora.json" > "$LANE/sora_result.json"
+"$SRV" run-local "$LANE/firm.json" > "$LANE/firm_result.json"
+python3 - "$LANE" <<'EOF'
+import json, sys
+arms = json.load(open("results/fig10_firm_vs_sora.json"))["data"]
+for arm in ("sora", "firm"):
+    got = json.load(open(f"{sys.argv[1]}/{arm}_result.json"))
+    for key in ("timeline", "rt", "goodput", "summary"):
+        if got[key] != arms[arm][key]:
+            sys.exit(f"fig10 --quick {arm} arm's {key} differs from run-local of its spec")
+EOF
+rm -rf "$LANE"
+mv /tmp/fig10_golden.json results/fig10_firm_vs_sora.json
+
 echo "==> audit lane: conservation laws (--features audit)"
 # Unit + metamorphic coverage of the audit layer itself.
 cargo test -q --features audit
