@@ -52,7 +52,7 @@ fn bench_ps_cpu(c: &mut Criterion) {
             let mut cpu = PsCpu::new(Millicores::from_cores(4), 0.03);
             let mut t = SimTime::ZERO;
             for i in 0..1_000u64 {
-                cpu.add(t, SimDuration::from_micros(500 + i % 100));
+                cpu.add(t, SimDuration::from_micros(500 + i % 100), i);
                 if let Some((done, _)) = cpu.next_completion() {
                     cpu.advance(done);
                     black_box(cpu.take_finished());

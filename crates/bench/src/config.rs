@@ -270,7 +270,11 @@ pub struct NetSpec {
     /// Per-message drop probability in `[0, 1)`.
     #[serde(default)]
     pub loss: Option<f64>,
-    /// Per-telemetry-message duplicate-delivery probability in `[0, 1)`.
+    /// Duplicate-delivery probability in `[0, 1)`, set on the service
+    /// edges. It currently has no effect: service edges carry calls and
+    /// responses, which the network never duplicates, and only trace
+    /// reports on a non-transparent telemetry edge can repeat, while this
+    /// spec keeps the telemetry edge transparent.
     #[serde(default)]
     pub duplicate: Option<f64>,
     /// Caller-side per-call timeout in ms; expiry resends the call.

@@ -2,16 +2,14 @@
 
 use crate::Millicores;
 use sim_core::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// Identifies one job (a runnable compute burst) on a [`PsCpu`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CpuJobId(u64);
-
-/// Work left of one job, in nanoseconds of single-core CPU demand.
+/// One runnable compute burst on a [`PsCpu`]: its owner (whatever the
+/// caller needs to resume when the burst finishes) and the work left, in
+/// nanoseconds of single-core CPU demand.
 #[derive(Debug, Clone, Copy)]
-struct Job {
+struct Job<T> {
+    owner: T,
     remaining: f64,
 }
 
@@ -38,6 +36,12 @@ struct Job {
 /// scale on) is `min(n, c)` cores whenever jobs are present — an
 /// oversubscribed pod looks 100 % busy even though useful work is lower.
 ///
+/// Each job carries an owner of type `T`, handed back when the job finishes
+/// or named to cancel it, so callers need no side table from jobs to their
+/// work. Runnable jobs live in one dense `Vec` in insertion order; that
+/// order is the jobs' identity, and every tie breaks toward the earlier
+/// job.
+///
 /// The type is event-driver friendly: callers [`advance`](PsCpu::advance) it
 /// to the current instant, then query [`next_completion`](PsCpu::next_completion)
 /// and schedule an event. Any mutation bumps an [`epoch`](PsCpu::epoch) so a
@@ -51,21 +55,23 @@ struct Job {
 ///
 /// let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.0);
 /// let t0 = SimTime::ZERO;
-/// let a = cpu.add(t0, SimDuration::from_millis(10));
-/// let _b = cpu.add(t0, SimDuration::from_millis(10));
+/// cpu.add(t0, SimDuration::from_millis(10), "a");
+/// cpu.add(t0, SimDuration::from_millis(10), "b");
 /// // Two jobs on two cores: both run at full speed.
-/// let (t, id) = cpu.next_completion().unwrap();
+/// let (t, first) = cpu.next_completion().unwrap();
 /// assert_eq!(t.as_millis(), 10);
-/// assert_eq!(id, a); // deterministic tie-break: lowest id first
+/// assert_eq!(*first, "a"); // deterministic tie-break: earliest job first
+/// cpu.advance(t);
+/// assert_eq!(cpu.take_finished(), ["a", "b"]);
 /// ```
-pub struct PsCpu {
+pub struct PsCpu<T> {
     limit: Millicores,
     csw_overhead: f64,
     /// Fraction of the limit actually deliverable (node CPU pressure from
     /// noisy neighbours or throttling); 1.0 when the node is healthy.
     pressure: f64,
-    jobs: BTreeMap<CpuJobId, Job>,
-    next_id: u64,
+    /// Runnable jobs, oldest first.
+    jobs: Vec<Job<T>>,
     last_update: SimTime,
     epoch: u64,
     busy_core_nanos: f64,
@@ -76,7 +82,7 @@ pub struct PsCpu {
     cap_core_nanos: f64,
 }
 
-impl PsCpu {
+impl<T> PsCpu<T> {
     /// One nanosecond of work: jobs at or below this are considered finished.
     const FINISH_EPS: f64 = 1.0;
 
@@ -96,8 +102,7 @@ impl PsCpu {
             limit,
             csw_overhead,
             pressure: 1.0,
-            jobs: BTreeMap::new(),
-            next_id: 0,
+            jobs: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             busy_core_nanos: 0.0,
@@ -182,33 +187,35 @@ impl PsCpu {
         let cores = self.effective_cores();
         self.busy_core_nanos += dt * (n as f64).min(cores);
         self.useful_core_nanos += dt * rate * n as f64;
-        for job in self.jobs.values_mut() {
+        for job in &mut self.jobs {
             job.remaining = (job.remaining - dt * rate).max(0.0);
         }
     }
 
-    /// Adds a job with `demand` single-core CPU work, as of `now`.
+    /// Adds a job with `demand` single-core CPU work for `owner`, as of
+    /// `now`.
     ///
     /// Implicitly advances to `now` and bumps the epoch.
-    pub fn add(&mut self, now: SimTime, demand: SimDuration) -> CpuJobId {
+    pub fn add(&mut self, now: SimTime, demand: SimDuration, owner: T) {
         self.advance(now);
-        let id = CpuJobId(self.next_id);
-        self.next_id += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                remaining: demand.as_nanos() as f64,
-            },
-        );
+        self.jobs.push(Job {
+            owner,
+            remaining: demand.as_nanos() as f64,
+        });
         self.epoch += 1;
-        id
     }
 
-    /// Removes a job regardless of progress (e.g. request cancelled).
-    /// Returns `true` when the job existed. Advances and bumps the epoch.
-    pub fn cancel(&mut self, now: SimTime, id: CpuJobId) -> bool {
+    /// Removes `owner`'s job regardless of progress (e.g. request
+    /// cancelled). Returns `true` when it had one. Advances and bumps the
+    /// epoch.
+    pub fn cancel(&mut self, now: SimTime, owner: &T) -> bool
+    where
+        T: PartialEq,
+    {
         self.advance(now);
-        let existed = self.jobs.remove(&id).is_some();
+        let before = self.jobs.len();
+        self.jobs.retain(|j| j.owner != *owner);
+        let existed = self.jobs.len() < before;
         if existed {
             self.epoch += 1;
         }
@@ -259,28 +266,36 @@ impl PsCpu {
         }
     }
 
-    /// The instant and id of the next job to finish, given no further
-    /// mutations. Must be called with state already advanced to "now".
-    /// Ties break towards the lowest job id (deterministic).
-    pub fn next_completion(&self) -> Option<(SimTime, CpuJobId)> {
+    /// The instant the next job finishes, given no further mutations, and
+    /// that job's owner. Must be called with state already advanced to
+    /// "now". The job with the least remaining work finishes first; ties
+    /// break towards the earliest-added job (deterministic).
+    pub fn next_completion(&self) -> Option<(SimTime, &T)> {
         let rate = self.rate(self.jobs.len());
         if rate <= 0.0 {
             return None;
         }
-        let (id, job) = self.jobs.iter().min_by(|a, b| {
-            a.1.remaining
-                .partial_cmp(&b.1.remaining)
-                .expect("remaining work is never NaN")
-                .then(a.0.cmp(b.0))
-        })?;
-        let dt_nanos = (job.remaining / rate).ceil().max(0.0) as u64;
-        Some((self.last_update + SimDuration::from_nanos(dt_nanos), *id))
+        let mut jobs = self.jobs.iter();
+        let mut next = jobs.next()?;
+        for job in jobs {
+            if job.remaining < next.remaining {
+                next = job;
+            }
+        }
+        let dt_nanos = (next.remaining / rate).ceil().max(0.0) as u64;
+        Some((
+            self.last_update + SimDuration::from_nanos(dt_nanos),
+            &next.owner,
+        ))
     }
 
-    /// Removes and returns every finished job (remaining ≤ 1 ns of work).
-    /// Must be called with state already advanced; bumps the epoch when any
-    /// job is removed.
-    pub fn take_finished(&mut self) -> Vec<CpuJobId> {
+    /// Removes every finished job (remaining ≤ 1 ns of work) and returns
+    /// their owners, earliest-added first. Must be called with state
+    /// already advanced; bumps the epoch when any job is removed.
+    pub fn take_finished(&mut self) -> Vec<T>
+    where
+        T: Copy,
+    {
         let mut done = Vec::new();
         self.take_finished_into(&mut done);
         done
@@ -288,18 +303,19 @@ impl PsCpu {
 
     /// [`take_finished`](PsCpu::take_finished) into a caller-owned buffer
     /// (cleared first), so event loops can reuse one allocation across the
-    /// hottest completion path. Ids are appended in ascending order.
-    pub fn take_finished_into(&mut self, out: &mut Vec<CpuJobId>) {
+    /// hottest completion path.
+    pub fn take_finished_into(&mut self, out: &mut Vec<T>)
+    where
+        T: Copy,
+    {
         out.clear();
-        out.extend(
-            self.jobs
-                .iter()
-                .filter(|(_, j)| j.remaining <= Self::FINISH_EPS)
-                .map(|(&id, _)| id),
-        );
-        for id in out.iter() {
-            self.jobs.remove(id);
-        }
+        self.jobs.retain(|j| {
+            let finished = j.remaining <= Self::FINISH_EPS;
+            if finished {
+                out.push(j.owner);
+            }
+            !finished
+        });
         if !out.is_empty() {
             self.epoch += 1;
         }
@@ -340,7 +356,7 @@ impl PsCpu {
     }
 }
 
-impl fmt::Debug for PsCpu {
+impl<T> fmt::Debug for PsCpu<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PsCpu")
             .field("limit", &self.limit)
@@ -360,14 +376,14 @@ mod tests {
         SimDuration::from_millis(v)
     }
 
-    /// Drives the CPU to completion of all jobs, returning (finish_time, id)
-    /// pairs in completion order.
-    fn drain(cpu: &mut PsCpu) -> Vec<(SimTime, CpuJobId)> {
+    /// Drives the CPU to completion of all jobs, returning (finish_time,
+    /// owner) pairs in completion order.
+    fn drain<T: Copy>(cpu: &mut PsCpu<T>) -> Vec<(SimTime, T)> {
         let mut out = Vec::new();
         while let Some((t, _)) = cpu.next_completion() {
             cpu.advance(t);
-            for id in cpu.take_finished() {
-                out.push((t, id));
+            for owner in cpu.take_finished() {
+                out.push((t, owner));
             }
         }
         out
@@ -376,7 +392,7 @@ mod tests {
     #[test]
     fn single_job_runs_at_one_core() {
         let mut cpu = PsCpu::new(Millicores::from_cores(4), 0.0);
-        cpu.add(SimTime::ZERO, ms(8));
+        cpu.add(SimTime::ZERO, ms(8), ());
         let done = drain(&mut cpu);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0.as_millis(), 8); // cannot exceed 1 core
@@ -385,8 +401,8 @@ mod tests {
     #[test]
     fn two_jobs_on_one_core_share_equally() {
         let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
-        cpu.add(SimTime::ZERO, ms(5));
-        cpu.add(SimTime::ZERO, ms(5));
+        cpu.add(SimTime::ZERO, ms(5), ());
+        cpu.add(SimTime::ZERO, ms(5), ());
         let done = drain(&mut cpu);
         // Each runs at 0.5 cores → both finish at 10 ms.
         assert_eq!(done.len(), 2);
@@ -397,7 +413,7 @@ mod tests {
     #[test]
     fn fractional_limit_slows_job() {
         let mut cpu = PsCpu::new(Millicores::new(500), 0.0);
-        cpu.add(SimTime::ZERO, ms(5));
+        cpu.add(SimTime::ZERO, ms(5), ());
         let done = drain(&mut cpu);
         assert_eq!(done[0].0.as_millis(), 10); // half a core → twice as long
     }
@@ -407,7 +423,7 @@ mod tests {
         // 4 jobs on 2 cores with κ=0.1: excess = 2, slowdown 1 + 0.1·√2.
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.1);
         for _ in 0..4 {
-            cpu.add(SimTime::ZERO, ms(10));
+            cpu.add(SimTime::ZERO, ms(10), ());
         }
         let done = drain(&mut cpu);
         // base rate 0.5 → 20 ms × 1.1414 ≈ 22.8 ms.
@@ -418,8 +434,8 @@ mod tests {
     #[test]
     fn undersubscription_has_no_penalty() {
         let mut cpu = PsCpu::new(Millicores::from_cores(4), 0.5);
-        cpu.add(SimTime::ZERO, ms(10));
-        cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), ());
+        cpu.add(SimTime::ZERO, ms(10), ());
         let done = drain(&mut cpu);
         assert_eq!(done.last().unwrap().0.as_millis(), 10);
     }
@@ -427,9 +443,9 @@ mod tests {
     #[test]
     fn late_arrival_shares_remaining_capacity() {
         let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
-        cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), ());
         // After 5 ms, 5 ms of work remains; a second job arrives.
-        cpu.add(SimTime::from_millis(5), ms(5));
+        cpu.add(SimTime::from_millis(5), ms(5), ());
         let done = drain(&mut cpu);
         // Both progress at 0.5 cores, finishing together at 5 + 10 = 15 ms.
         assert_eq!(done[0].0.as_millis(), 15);
@@ -439,8 +455,8 @@ mod tests {
     #[test]
     fn vertical_scale_up_speeds_jobs() {
         let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
-        cpu.add(SimTime::ZERO, ms(10));
-        cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), ());
+        cpu.add(SimTime::ZERO, ms(10), ());
         // At 5 ms (7.5 ms work left each), scale 1→2 cores.
         cpu.set_limit(SimTime::from_millis(5), Millicores::from_cores(2));
         let done = drain(&mut cpu);
@@ -452,19 +468,61 @@ mod tests {
     #[test]
     fn cancel_removes_job_and_bumps_epoch() {
         let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
-        let a = cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), 'a');
         let e = cpu.epoch();
-        assert!(cpu.cancel(SimTime::from_millis(1), a));
+        assert!(cpu.cancel(SimTime::from_millis(1), &'a'));
         assert!(cpu.epoch() > e);
-        assert!(!cpu.cancel(SimTime::from_millis(1), a));
+        assert!(!cpu.cancel(SimTime::from_millis(1), &'a'));
         assert_eq!(cpu.active(), 0);
         assert!(cpu.next_completion().is_none());
     }
 
     #[test]
+    fn cancel_by_owner_removes_only_that_job() {
+        let mut cpu = PsCpu::new(Millicores::from_cores(4), 0.0);
+        cpu.add(SimTime::ZERO, ms(10), 'a');
+        cpu.add(SimTime::ZERO, ms(20), 'b');
+        cpu.add(SimTime::ZERO, ms(30), 'c');
+        let e = cpu.epoch();
+        assert!(cpu.cancel(SimTime::from_millis(5), &'b'));
+        assert_eq!(cpu.epoch(), e + 1, "one removal, one epoch bump");
+        assert_eq!(cpu.active(), 2);
+        assert!(!cpu.cancel(SimTime::from_millis(5), &'z'));
+        assert_eq!(cpu.epoch(), e + 1, "a miss leaves the epoch alone");
+        // The survivors keep the progress they made before the cancel.
+        assert_eq!(
+            drain(&mut cpu),
+            [
+                (SimTime::from_millis(10), 'a'),
+                (SimTime::from_millis(30), 'c')
+            ]
+        );
+    }
+
+    #[test]
+    fn simultaneous_finishers_return_owners_in_insertion_order() {
+        let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
+        cpu.add(SimTime::ZERO, ms(4), 30u32);
+        cpu.add(SimTime::ZERO, ms(9), 10u32);
+        // At 2 ms, 30 has 3 ms of work left and 10 has 8 ms.
+        cpu.add(SimTime::from_millis(2), ms(3), 20u32);
+        cpu.add(SimTime::from_millis(2), ms(3), 5u32);
+        // Four jobs on one core: 30, 20 and 5 finish together at 14 ms.
+        let (t, first) = cpu.next_completion().unwrap();
+        assert_eq!(t, SimTime::from_millis(14));
+        assert_eq!(*first, 30);
+        let e = cpu.epoch();
+        cpu.advance(t);
+        assert_eq!(cpu.take_finished(), [30, 20, 5]);
+        assert_eq!(cpu.epoch(), e + 1);
+        assert_eq!(cpu.active(), 1);
+        assert_eq!(drain(&mut cpu), [(SimTime::from_millis(19), 10)]);
+    }
+
+    #[test]
     fn zero_limit_makes_no_progress() {
         let mut cpu = PsCpu::new(Millicores::ZERO, 0.0);
-        cpu.add(SimTime::ZERO, ms(1));
+        cpu.add(SimTime::ZERO, ms(1), ());
         assert!(cpu.next_completion().is_none());
         cpu.advance(SimTime::from_secs(100));
         assert!(cpu.take_finished().is_empty());
@@ -473,7 +531,7 @@ mod tests {
     #[test]
     fn pressure_halves_progress_and_restores() {
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.0);
-        cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), ());
         // Half the node's cycles are stolen: 1 effective core for 1 job.
         let e = cpu.epoch();
         cpu.set_pressure(SimTime::ZERO, 0.5);
@@ -490,8 +548,8 @@ mod tests {
         // 2 jobs on 2 cores would run at full speed; at pressure 0.5 they
         // share 1 effective core (0.5 each) and pay the excess penalty.
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.1);
-        cpu.add(SimTime::ZERO, ms(10));
-        cpu.add(SimTime::ZERO, ms(10));
+        cpu.add(SimTime::ZERO, ms(10), ());
+        cpu.add(SimTime::ZERO, ms(10), ());
         cpu.set_pressure(SimTime::ZERO, 0.5);
         let done = drain(&mut cpu);
         // base 0.5, excess 1 → slowdown 1.1 → 20 ms × 1.1 = 22 ms.
@@ -503,7 +561,7 @@ mod tests {
     fn busy_accounting_caps_at_effective_cores() {
         let mut cpu = PsCpu::new(Millicores::from_cores(4), 0.0);
         for _ in 0..8 {
-            cpu.add(SimTime::ZERO, ms(100));
+            cpu.add(SimTime::ZERO, ms(100), ());
         }
         cpu.set_pressure(SimTime::ZERO, 0.25); // 1 effective core
         cpu.advance(SimTime::from_millis(10));
@@ -513,7 +571,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pressure must be in (0, 1]")]
     fn zero_pressure_rejected() {
-        let mut cpu = PsCpu::new(Millicores::from_cores(1), 0.0);
+        let mut cpu = PsCpu::<()>::new(Millicores::from_cores(1), 0.0);
         cpu.set_pressure(SimTime::ZERO, 0.0);
     }
 
@@ -523,7 +581,7 @@ mod tests {
         // busy 2 cores, useful 2/1.3536.
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.25);
         for _ in 0..4 {
-            cpu.add(SimTime::ZERO, ms(100));
+            cpu.add(SimTime::ZERO, ms(100), ());
         }
         cpu.advance(SimTime::from_millis(30));
         let busy = cpu.busy_core_nanos();
@@ -542,7 +600,7 @@ mod tests {
         use sim_core::audit::CountingSink;
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.1);
         for _ in 0..6 {
-            cpu.add(SimTime::ZERO, ms(50));
+            cpu.add(SimTime::ZERO, ms(50), ());
         }
         cpu.set_pressure(SimTime::from_millis(10), 0.5);
         cpu.advance(SimTime::from_millis(30));
@@ -558,11 +616,10 @@ mod tests {
     #[test]
     fn completion_order_is_deterministic_on_ties() {
         let mut cpu = PsCpu::new(Millicores::from_cores(2), 0.0);
-        let a = cpu.add(SimTime::ZERO, ms(5));
-        let b = cpu.add(SimTime::ZERO, ms(5));
+        cpu.add(SimTime::ZERO, ms(5), 'a');
+        cpu.add(SimTime::ZERO, ms(5), 'b');
         let (_, first) = cpu.next_completion().unwrap();
-        assert_eq!(first, a);
-        assert!(b > a);
+        assert_eq!(*first, 'a');
     }
 
     proptest! {
@@ -580,29 +637,31 @@ mod tests {
                 arrivals.iter().zip(&demands).take(n).map(|(&a, &d)| (a, d)).collect();
             pairs.sort_unstable();
             let mut cpu = PsCpu::new(Millicores::from_cores(cores), kappa);
-            let mut pending = pairs.into_iter().peekable();
-            let mut finished = 0usize;
+            let mut pending = pairs.into_iter().enumerate().peekable();
+            let mut returned = Vec::new();
             // Event loop: interleave arrivals and completions by time.
-            while finished < n {
-                let next_arrival = pending.peek().map(|&(a, _)| SimTime::from_millis(a));
+            while returned.len() < n {
+                let next_arrival = pending.peek().map(|&(_, (a, _))| SimTime::from_millis(a));
                 let next_done = cpu.next_completion().map(|(t, _)| t);
                 match (next_arrival, next_done) {
                     (Some(a), Some(d)) if a <= d => {
-                        let (_, demand) = pending.next().unwrap();
-                        cpu.add(a, ms(demand));
+                        let (owner, (_, demand)) = pending.next().unwrap();
+                        cpu.add(a, ms(demand), owner);
                     }
                     (Some(a), None) => {
-                        let (_, demand) = pending.next().unwrap();
-                        cpu.add(a, ms(demand));
+                        let (owner, (_, demand)) = pending.next().unwrap();
+                        cpu.add(a, ms(demand), owner);
                     }
                     (_, Some(d)) => {
                         cpu.advance(d);
-                        finished += cpu.take_finished().len();
+                        returned.extend(cpu.take_finished());
                     }
                     (None, None) => break,
                 }
             }
-            prop_assert_eq!(finished, n);
+            // Every owner comes back exactly once.
+            returned.sort_unstable();
+            prop_assert_eq!(returned, (0..n).collect::<Vec<_>>());
             let total_demand: f64 =
                 demands.iter().take(n).map(|&d| d as f64 * 1e6).sum();
             let useful = cpu.useful_core_nanos();
@@ -615,7 +674,7 @@ mod tests {
         /// more jobs.
         #[test]
         fn prop_rate_monotone(cores in 1u32..16, kappa in 0.0f64..0.5) {
-            let cpu = PsCpu::new(Millicores::from_cores(cores), kappa);
+            let cpu = PsCpu::<()>::new(Millicores::from_cores(cores), kappa);
             let mut last = f64::INFINITY;
             for n in 1..64 {
                 let r = cpu.rate(n);

@@ -26,6 +26,6 @@ mod cpu;
 mod millicores;
 mod node;
 
-pub use cpu::{CpuJobId, PsCpu};
+pub use cpu::PsCpu;
 pub use millicores::Millicores;
 pub use node::{ClusterState, Node, NodeId, PlacementError, PodPlacement};

@@ -1,10 +1,10 @@
 //! Replica (pod) runtime state: CPU, thread gate, connection pools, samplers.
 
 use crate::request::FrameIdx;
-use cluster::{CpuJobId, Millicores, PsCpu};
+use cluster::{Millicores, PsCpu};
 use sim_core::stats::P2Quantile;
 use sim_core::{SimDuration, SlabKey};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use telemetry::{CompletionLog, ConcurrencyTracker, ReplicaId, ServiceId};
 
 /// Lifecycle of a replica.
@@ -132,12 +132,11 @@ impl ConnPool {
 pub(crate) struct Replica {
     pub id: ReplicaId,
     pub service: ServiceId,
-    pub cpu: PsCpu,
+    /// The pod's CPU; each job is owned by the frame that issued it.
+    pub cpu: PsCpu<(SlabKey, FrameIdx)>,
     pub threads: ThreadGate,
     /// Connection pools toward limited targets (absent = unlimited).
     pub conns: BTreeMap<ServiceId, ConnPool>,
-    /// Maps running CPU jobs back to the frame that issued them.
-    pub jobs: HashMap<CpuJobId, (SlabKey, FrameIdx)>,
     /// In-service concurrency sampler (SCG's `Q`).
     pub concurrency: ConcurrencyTracker,
     /// Span completions at this replica (SCG's goodput source).
@@ -166,7 +165,6 @@ impl Replica {
                 .iter()
                 .map(|(&t, &l)| (t, ConnPool::new(l)))
                 .collect(),
-            jobs: HashMap::new(),
             concurrency: ConcurrencyTracker::new(metrics_horizon),
             completions: CompletionLog::new(metrics_horizon),
             span_p99: P2Quantile::new(0.99),
@@ -255,7 +253,8 @@ mod tests {
     fn busy_time_accumulates_on_the_cpu() {
         let mut r = replica();
         // One job on a 2-core pod: busy = 1 core.
-        r.cpu.add(SimTime::ZERO, SimDuration::from_millis(100));
+        r.cpu
+            .add(SimTime::ZERO, SimDuration::from_millis(100), (key(1), 0));
         r.cpu.advance(SimTime::from_millis(10));
         assert!((r.cpu.busy_core_nanos() - 10e6).abs() < 1.0);
     }

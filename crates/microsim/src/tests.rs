@@ -6,6 +6,7 @@ use crate::{
     WorldConfig,
 };
 use cluster::Millicores;
+use net::{EdgeParams, NetworkConfig};
 use proptest::prelude::*;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use telemetry::{RequestTypeId, ServiceId};
@@ -759,6 +760,43 @@ fn telemetry_blackout_lag_delivers_samples_at_window_end() {
         "lagged sample delivered in order, live sample follows"
     );
     assert_eq!(w.warehouse().len(), 2);
+}
+
+/// Trace retransmits are deduped wherever networked telemetry delivers
+/// them: straight off the telemetry edge, and out of the buffer a `Lag`
+/// blackout releases at its end. Two worlds differ only in the telemetry
+/// edge's duplicate probability. With no loss and a constant latency the
+/// duplicate draws are the network stream's only draws, so both run the
+/// same requests to the same completions and must store the same traces.
+#[test]
+fn telemetry_retransmits_are_deduped_live_and_after_a_lag_blackout() {
+    let run = |duplicate: f64| {
+        let (mut w, rt, _) = single_service_world(5, 4, 4, 0.0);
+        w.install_network(NetworkConfig::transparent().telemetry_edge(
+            EdgeParams::constant(SimDuration::from_millis(1)).duplicate(duplicate),
+        ));
+        w.install_faults(FaultSchedule::new().telemetry_blackout(
+            t(1_000),
+            BlackoutMode::Lag,
+            SimDuration::from_millis(2_000),
+        ))
+        .expect("valid fault schedule");
+        for i in 0..400 {
+            w.inject_at(t(i * 10), rt);
+        }
+        let done = w.run_until(t(10_000));
+        assert_eq!(done.len(), 400);
+        let stored: Vec<u64> = w.warehouse().iter().map(|tr| tr.request.get()).collect();
+        let sent = w.network_stats().expect("network installed").duplicated;
+        (stored, sent, w.warehouse().duplicates_dropped())
+    };
+    let (clean, clean_sent, clean_dropped) = run(0.0);
+    let (noisy, noisy_sent, noisy_dropped) = run(0.5);
+    assert_eq!((clean_sent, clean_dropped), (0, 0));
+    assert_eq!(clean.len(), 400, "every trace delivered once");
+    assert!(noisy_dropped > 0, "the edge duplicated nothing");
+    assert_eq!(noisy_dropped, noisy_sent, "every retransmit deduped");
+    assert_eq!(noisy, clean, "retransmits must not reach the store");
 }
 
 #[test]

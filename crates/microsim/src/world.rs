@@ -5,7 +5,7 @@ use crate::faults::{BlackoutMode, FaultKind, FaultSchedule, FaultScheduleError};
 use crate::replica::{ConnWaiter, Replica, ReplicaState};
 use crate::request::{Frame, FrameIdx, RequestState};
 use crate::shard::{ShardError, ShardTally};
-use cluster::{ClusterState, CpuJobId, Millicores, NodeId, PlacementError};
+use cluster::{ClusterState, Millicores, NodeId, PlacementError};
 use net::{Endpoint, Network, NetworkConfig, SendOutcome};
 use serde::{Deserialize, Serialize};
 use sim_core::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlabKey};
@@ -277,11 +277,13 @@ pub struct World {
     lag_traces: Vec<Trace>,
     /// Human-readable record of every fault applied, for reports.
     fault_log: Vec<(SimTime, String)>,
-    /// Scratch buffers reused across [`World::on_cpu_done`] invocations —
+    /// Scratch buffer reused across [`World::on_cpu_done`] invocations —
     /// the hottest event handler, fired once per compute stage — so the
     /// completion batch never re-allocates in steady state.
-    cpu_jobs_scratch: Vec<CpuJobId>,
     cpu_work_scratch: Vec<(SlabKey, FrameIdx)>,
+    /// Reusable copy of a call stage's targets, so [`World::run_frame`]
+    /// can issue the calls without cloning the stage.
+    call_targets_scratch: Vec<ServiceId>,
     /// Reusable snapshot of a service's replica list for the soft-resource
     /// actuation loops (drains may mutate the list mid-walk).
     actuation_scratch: Vec<ReplicaId>,
@@ -340,8 +342,8 @@ impl World {
             lag_completions: Vec::new(),
             lag_traces: Vec::new(),
             fault_log: Vec::new(),
-            cpu_jobs_scratch: Vec::new(),
             cpu_work_scratch: Vec::new(),
+            call_targets_scratch: Vec::new(),
             actuation_scratch: Vec::new(),
             next_request: 0,
             next_replica: 0,
@@ -759,6 +761,15 @@ impl World {
         self.network.as_ref().map(|n| *n.stats())
     }
 
+    /// True when telemetry rides the installed network as messages (its
+    /// telemetry edge is not transparent): samples and traces are then
+    /// delivered by events, and traces may arrive twice.
+    fn telemetry_is_networked(&self) -> bool {
+        self.network
+            .as_ref()
+            .is_some_and(|n| !n.config().telemetry_is_transparent())
+    }
+
     // ------------------------------------------------------------------
     // Fault injection
     // ------------------------------------------------------------------
@@ -969,8 +980,17 @@ impl World {
                     r.span_p99.observe(rt.as_millis_f64());
                 }
             }
-            for trace in traces {
-                self.warehouse.push(trace);
+            // Traces that came over a non-transparent telemetry edge may
+            // include retransmits; traces withheld on the direct path are
+            // one per request.
+            if self.telemetry_is_networked() {
+                for trace in traces {
+                    self.warehouse.push(trace);
+                }
+            } else {
+                for trace in traces {
+                    self.warehouse.push_unique(trace);
+                }
             }
         }
     }
@@ -1270,18 +1290,12 @@ impl World {
     }
 
     fn on_cpu_done(&mut self, now: SimTime, replica: ReplicaId, epoch: u64) {
-        let mut finished = std::mem::take(&mut self.cpu_jobs_scratch);
         let mut work = std::mem::take(&mut self.cpu_work_scratch);
         let live = match self.rep_mut(replica) {
             // A stale epoch means the event refers to a superseded schedule.
             Some(r) if r.cpu.epoch() == epoch => {
                 r.cpu.advance(now);
-                r.cpu.take_finished_into(&mut finished);
-                for job in finished.drain(..) {
-                    if let Some(pair) = r.jobs.remove(&job) {
-                        work.push(pair);
-                    }
-                }
+                r.cpu.take_finished_into(&mut work);
                 true
             }
             _ => false,
@@ -1292,7 +1306,6 @@ impl World {
                 self.run_frame(now, request, frame);
             }
         }
-        self.cpu_jobs_scratch = finished;
         self.cpu_work_scratch = work;
         if live {
             self.schedule_cpu(now, replica);
@@ -1415,18 +1428,17 @@ impl World {
                         self.services[service.get() as usize].spec.name
                     )
                 });
-            match behavior.stages.get(stage_idx).cloned() {
+            match behavior.stages.get(stage_idx) {
                 None => {
                     self.complete_span(now, request, frame);
                     return;
                 }
-                Some(Stage::Compute { demand }) => {
+                Some(&Stage::Compute { demand }) => {
                     let d = demand.sample(&mut self.rng);
                     let Some(r) = self.rep_mut(replica) else {
                         return;
                     };
-                    let job = r.cpu.add(now, d);
-                    r.jobs.insert(job, (request, frame));
+                    r.cpu.add(now, d, (request, frame));
                     self.schedule_cpu(now, replica);
                     return;
                 }
@@ -1436,7 +1448,11 @@ impl World {
                         rs.frames[frame].stage += 1;
                         continue;
                     }
-                    self.issue_calls(now, request, frame, &targets);
+                    let mut targets_copy = std::mem::take(&mut self.call_targets_scratch);
+                    targets_copy.clear();
+                    targets_copy.extend_from_slice(targets);
+                    self.issue_calls(now, request, frame, &targets_copy);
+                    self.call_targets_scratch = targets_copy;
                     return;
                 }
             }
@@ -1750,13 +1766,11 @@ impl World {
         // The warehouse is part of the monitoring pipeline: blackout windows
         // withhold traces, and under a non-transparent telemetry edge the
         // trace is a message that may arrive late, duplicated (a retransmit
-        // echo the warehouse dedupes by span id), or never. The client logs
-        // below model the experiment harness and always record.
-        if self
-            .network
-            .as_ref()
-            .is_some_and(|n| !n.config().telemetry_is_transparent())
-        {
+        // echo the warehouse dedupes by span id), or never. On the direct
+        // path each request hands over its one trace, whose root span id no
+        // other trace carries, so ingest skips the dedupe bookkeeping. The
+        // client logs below model the experiment harness and always record.
+        if self.telemetry_is_networked() {
             let network = self.network.as_mut().expect("checked above");
             match network.send_dup(now, Endpoint::Service(entry), Endpoint::Monitor) {
                 SendOutcome::Deliver { at, duplicate } => {
@@ -1779,7 +1793,7 @@ impl World {
             }
         } else {
             match self.blackout {
-                None => self.warehouse.push(trace),
+                None => self.warehouse.push_unique(trace),
                 Some(BlackoutMode::Lag) => self.lag_traces.push(trace),
                 Some(BlackoutMode::Drop) => {}
             }
@@ -1869,16 +1883,7 @@ impl World {
                 r.concurrency.leave(now);
                 r.threads.release();
                 // Cancel any CPU job of this frame.
-                let jobs: Vec<_> = r
-                    .jobs
-                    .iter()
-                    .filter(|(_, &(rq, f))| rq == request && f == fi)
-                    .map(|(&j, _)| j)
-                    .collect();
-                for j in jobs {
-                    r.jobs.remove(&j);
-                    r.cpu.cancel(now, j);
-                }
+                r.cpu.cancel(now, &(request, fi));
             }
             self.schedule_cpu(now, replica);
             self.drain_thread_queue(now, replica);

@@ -29,36 +29,47 @@ pub struct PathHop {
 /// for the Catalogue request of Fig. 5, depending on runtime contention.
 ///
 /// Returns the hops front-end-first. Never empty for a well-formed trace.
+///
+/// The root is the first span without a parent. Among siblings with equal
+/// wall time the earliest span in the trace is followed.
 pub fn critical_path(trace: &Trace) -> Vec<PathHop> {
-    // Group spans by parent for O(1) descent.
-    let mut children: HashMap<Option<crate::SpanId>, Vec<usize>> = HashMap::new();
-    for (i, s) in trace.spans.iter().enumerate() {
-        children.entry(s.parent).or_default().push(i);
-    }
     let mut path = Vec::new();
-    let mut current = match children.get(&None).and_then(|roots| roots.first()) {
-        Some(&root) => root,
-        None => return path,
+    critical_path_into(trace, &mut path);
+    path
+}
+
+/// [`critical_path`] into a caller-owned buffer (cleared first). A hop's
+/// children are found by scanning the trace's spans: traces hold a few
+/// dozen spans at most, so the scan beats building a parent index per
+/// trace, and the walk allocates nothing once `path` has grown.
+fn critical_path_into(trace: &Trace, path: &mut Vec<PathHop>) {
+    path.clear();
+    let spans = &trace.spans;
+    let Some(mut current) = spans.iter().position(|s| s.parent.is_none()) else {
+        return;
     };
     loop {
-        let span = &trace.spans[current];
+        let span = &spans[current];
         path.push(PathHop {
             service: span.service,
             replica: span.replica,
             self_time: span.self_time(),
             response_time: span.response_time(),
         });
-        let next = children.get(&Some(span.id)).and_then(|kids| {
-            kids.iter()
-                .copied()
-                .max_by_key(|&i| (trace.spans[i].response_time(), std::cmp::Reverse(i)))
-        });
+        let mut next: Option<(SimDuration, usize)> = None;
+        for (i, child) in spans.iter().enumerate() {
+            if child.parent == Some(span.id) {
+                let rt = child.response_time();
+                if next.is_none_or(|(best, _)| rt > best) {
+                    next = Some((rt, i));
+                }
+            }
+        }
         match next {
-            Some(i) => current = i,
+            Some((_, i)) => current = i,
             None => break,
         }
     }
-    path
 }
 
 /// Aggregated critical-path statistics over a window of traces: dominant
@@ -136,17 +147,28 @@ impl CriticalPathStats {
 }
 
 /// Analyses a window of traces into [`CriticalPathStats`].
+///
+/// One path buffer and one shape buffer serve the whole window; a path
+/// shape is copied into the counts only the first time it is seen.
 pub fn per_service_stats<'a>(traces: impl IntoIterator<Item = &'a Trace>) -> CriticalPathStats {
     let mut stats = CriticalPathStats::default();
+    let mut path = Vec::new();
+    let mut shape: Vec<ServiceId> = Vec::new();
     for trace in traces {
-        let path = critical_path(trace);
+        critical_path_into(trace, &mut path);
         if path.is_empty() {
             continue;
         }
         stats.traces += 1;
         let rt = trace.response_time().as_nanos() as f64;
-        let shape: Vec<ServiceId> = path.iter().map(|h| h.service).collect();
-        *stats.path_counts.entry(shape).or_insert(0) += 1;
+        shape.clear();
+        shape.extend(path.iter().map(|h| h.service));
+        match stats.path_counts.get_mut(shape.as_slice()) {
+            Some(count) => *count += 1,
+            None => {
+                stats.path_counts.insert(shape.clone(), 1);
+            }
+        }
         let mut upstream = SimDuration::ZERO;
         for hop in &path {
             let entry = stats.samples.entry(hop.service).or_default();
@@ -304,6 +326,65 @@ mod tests {
             30
         );
         assert_eq!(stats.mean_upstream_pt(ServiceId(9)), None);
+    }
+
+    #[test]
+    fn equal_sibling_times_follow_the_earliest_span() {
+        // Catalogue's branch ends at 35 ms, exactly like cart's: both
+        // children of the front-end take 30 ms.
+        let mut trace = fanout_trace(1, 25);
+        assert_eq!(
+            trace.spans[1].response_time(),
+            trace.spans[2].response_time()
+        );
+        let services = |trace: &Trace| -> Vec<u32> {
+            critical_path(trace)
+                .iter()
+                .map(|h| h.service.get())
+                .collect()
+        };
+        assert_eq!(services(&trace), [0, 1], "cart is the earlier span");
+        trace.spans.swap(1, 2);
+        assert_eq!(services(&trace), [0, 2, 3], "catalogue now comes first");
+    }
+
+    #[test]
+    fn root_is_the_first_parentless_span_wherever_it_sits() {
+        let mut trace = fanout_trace(1, 100);
+        trace.spans.rotate_left(2); // [catalogue, db, front-end, cart]
+        let services: Vec<u32> = critical_path(&trace)
+            .iter()
+            .map(|h| h.service.get())
+            .collect();
+        assert_eq!(services, [0, 2, 3]);
+        // A second parentless span later in the trace does not take over.
+        let mut stray = trace.spans[3].clone();
+        stray.id = SpanId(9);
+        stray.parent = None;
+        stray.departure = t(500);
+        trace.spans.push(stray);
+        assert_eq!(critical_path(&trace)[0].service, ServiceId(0));
+    }
+
+    #[test]
+    fn each_trace_counts_its_shape_once() {
+        // Long, short, long, short, long: the reused shape buffer must not
+        // carry a longer path's tail into a shorter one.
+        let traces: Vec<Trace> = [100, 20, 100, 20, 100]
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| fanout_trace(i as u64, ms))
+            .collect();
+        let stats = per_service_stats(&traces);
+        let long = [ServiceId(0), ServiceId(2), ServiceId(3)];
+        let short = [ServiceId(0), ServiceId(1)];
+        assert_eq!(stats.path_counts.len(), 2);
+        assert_eq!(stats.path_counts[long.as_slice()], 3);
+        assert_eq!(stats.path_counts[short.as_slice()], 2);
+        assert_eq!(stats.path_counts.values().sum::<u64>(), stats.trace_count());
+        assert_eq!(stats.dominant_path(), Some(long.as_slice()));
+        assert_eq!(stats.on_path_count(ServiceId(0)), 5);
+        assert_eq!(stats.on_path_count(ServiceId(1)), 2);
     }
 
     #[test]

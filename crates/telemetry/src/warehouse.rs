@@ -17,14 +17,17 @@ const SPARE_POOL_CAP: usize = 256;
 /// samplers), so sampling here only affects critical-path analysis, exactly
 /// like in the paper's architecture (Fig. 8).
 ///
-/// Ingest is **idempotent**: a simulated network may retransmit trace
-/// reports, so each trace is keyed by its root span id and duplicates are
-/// dropped before they can advance the sampling counter — a run with
-/// duplicated deliveries stores byte-identical contents to one without.
-/// Dedupe state is horizon-bounded: ids are forgotten alongside eviction,
-/// so a duplicate arriving more than a horizon late would be re-admitted
-/// (at that age it can no longer sit next to its original in any query
-/// window that also contains the original).
+/// Ingest through [`push`](TraceWarehouse::push) is **idempotent**: a
+/// simulated network may retransmit trace reports, so each trace is keyed
+/// by its root span id and duplicates are dropped before they can advance
+/// the sampling counter — a run with duplicated deliveries stores
+/// byte-identical contents to one without. Dedupe state is horizon-bounded:
+/// ids are forgotten alongside eviction, so a duplicate arriving more than
+/// a horizon late would be re-admitted (at that age it can no longer sit
+/// next to its original in any query window that also contains the
+/// original). A caller whose traces cannot repeat uses
+/// [`push_unique`](TraceWarehouse::push_unique) and pays for no dedupe
+/// state.
 ///
 /// # Example
 ///
@@ -49,8 +52,8 @@ pub struct TraceWarehouse {
     sample_every: u64,
     counter: u64,
     traces: VecDeque<StoredTrace>,
-    /// Root span ids of every distinct trace ingested within the horizon
-    /// (stored *and* sampled-out), for duplicate suppression.
+    /// Root span ids of every distinct trace ingested through `push` within
+    /// the horizon (stored *and* sampled-out), for duplicate suppression.
     seen: HashSet<u64>,
     /// `(completed, root span id)` in ingest order, mirroring `seen` so ids
     /// can be forgotten as the horizon advances. Out-of-order stragglers
@@ -122,6 +125,20 @@ impl TraceWarehouse {
             }
             self.ledger.push_back((now, id));
         }
+        self.admit(trace, now);
+    }
+
+    /// Ingests a trace whose root span id the caller guarantees was never
+    /// offered before, skipping the dedupe bookkeeping [`Self::push`] keeps.
+    /// Sampling and eviction are the same, so a caller with unique ids
+    /// stores exactly what `push` would; a duplicate offered here is stored
+    /// twice.
+    pub fn push_unique(&mut self, trace: Trace) {
+        let now = trace.completed_at();
+        self.admit(trace, now);
+    }
+
+    fn admit(&mut self, trace: Trace, now: SimTime) {
         self.counter += 1;
         if (self.counter - 1).is_multiple_of(self.sample_every) {
             let service_mask = trace
@@ -389,6 +406,21 @@ mod tests {
         w.push(trace(1, 10)); // a full horizon late: re-admitted
         assert_eq!(w.duplicates_dropped(), 0);
         assert_eq!(w.ingested(), 3);
+    }
+
+    #[test]
+    fn unique_ingest_stores_what_push_stores() {
+        // Same sampling and eviction as `push`, without the dedupe ledger.
+        let mut deduped = TraceWarehouse::new(SimDuration::from_millis(100), 2);
+        let mut unique = TraceWarehouse::new(SimDuration::from_millis(100), 2);
+        for i in 0..12 {
+            deduped.push(trace(i, 30 * (i + 1)));
+            unique.push_unique(trace(i, 30 * (i + 1)));
+        }
+        let kept = |w: &TraceWarehouse| -> Vec<u64> { w.iter().map(|t| t.request.get()).collect() };
+        assert_eq!(kept(&unique), kept(&deduped));
+        assert_eq!(unique.ingested(), deduped.ingested());
+        assert!(unique.seen.is_empty() && unique.ledger.is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q"
@@ -142,6 +142,13 @@ cargo build -q --release -p sora-bench --features audit --bin net_resilience
 ./target/release/net_resilience --smoke --jobs 4 2>/dev/null > /tmp/net_smoke_j4.txt
 diff /tmp/net_smoke_j1.txt /tmp/net_smoke_j4.txt \
   || { echo "net_resilience output differs between --jobs 1 and --jobs 4"; exit 1; }
+# The fresh audited run itself, not only the committed artifact, must
+# dedupe retransmitted trace reports in the guard variant: its verdict line
+# ends "...; N duplicate traces deduped)".
+DEDUPED=$(sed -n 's/^reordered telemetry: .*; \([0-9][0-9]*\) duplicate traces deduped)$/\1/p' \
+  /tmp/net_smoke_j1.txt)
+[ "${DEDUPED:-0}" -gt 0 ] \
+  || { echo "net_resilience smoke: the guard variant deduped no duplicate traces"; exit 1; }
 python3 - <<'EOF'
 import json, sys
 doc = json.load(open("/tmp/BENCH_net_resilience_golden.json"))
