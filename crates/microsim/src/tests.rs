@@ -956,7 +956,7 @@ proptest! {
 }
 
 #[test]
-fn per_type_client_logs_split_the_traffic() {
+fn completions_split_the_traffic_by_request_type() {
     let mut w = World::new(exact_config(), SimRng::seed_from(1));
     let (fast, slow) = (RequestTypeId(0), RequestTypeId(1));
     let svc = w.add_service(
@@ -974,11 +974,20 @@ fn per_type_client_logs_split_the_traffic() {
         w.inject_at(t(i * 50), fast);
         w.inject_at(t(i * 50), slow);
     }
-    w.run_until(t(5_000));
+    let done = w.run_until(t(5_000));
     assert_eq!(w.client().total(), 40);
-    assert_eq!(w.client_of(fast).total(), 20);
-    assert_eq!(w.client_of(slow).total(), 20);
-    let p50_fast = w.client_of(fast).percentile(50.0).unwrap();
-    let p50_slow = w.client_of(slow).percentile(50.0).unwrap();
+    let p50_of = |rtype| {
+        let mut rts: Vec<SimDuration> = done
+            .iter()
+            .filter(|c| c.rtype == rtype)
+            .map(|c| c.response_time)
+            .collect();
+        rts.sort_unstable();
+        (rts.len(), rts[(rts.len() - 1) / 2])
+    };
+    let (n_fast, p50_fast) = p50_of(fast);
+    let (n_slow, p50_slow) = p50_of(slow);
+    assert_eq!(n_fast, 20);
+    assert_eq!(n_slow, 20);
     assert!(p50_slow > p50_fast * 5, "{p50_fast} vs {p50_slow}");
 }

@@ -260,8 +260,6 @@ pub struct World {
     requests: Slab<RequestState>,
     warehouse: TraceWarehouse,
     client: ClientLog,
-    /// Per-request-type client logs, indexed by `RequestTypeId`.
-    client_by_type: Vec<ClientLog>,
     completed: Vec<Completion>,
     dropped_log: Vec<(RequestId, DropReason)>,
     drop_breakdown: DropBreakdown,
@@ -333,7 +331,6 @@ impl World {
             requests: Slab::new(),
             warehouse,
             client,
-            client_by_type: Vec::new(),
             completed: Vec::new(),
             dropped_log: Vec::new(),
             drop_breakdown: DropBreakdown::default(),
@@ -410,8 +407,6 @@ impl World {
             entry,
             timeout,
         });
-        self.client_by_type
-            .push(ClientLog::new(self.config.client_bucket));
         id
     }
 
@@ -1799,7 +1794,6 @@ impl World {
             }
         }
         self.client.record(completed, response_time);
-        self.client_by_type[rtype.get() as usize].record(completed, response_time);
         self.completed.push(Completion {
             request: id,
             rtype,
@@ -2021,16 +2015,6 @@ impl World {
         &self.client
     }
 
-    /// The end-to-end client log restricted to one request type — e.g. to
-    /// compare light vs heavy reads across a state-drift run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rtype` was never registered.
-    pub fn client_of(&self, rtype: RequestTypeId) -> &ClientLog {
-        &self.client_by_type[rtype.get() as usize]
-    }
-
     /// Requests refused or aborted without a response.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -2131,11 +2115,22 @@ impl World {
     }
 
     /// The concurrency sampler of one replica.
+    ///
+    /// Its 10 ms aggregation ring (8 B per slot, one slot per 10 ms of
+    /// `metrics_horizon`: 144 KB at 180 s) is built on the first windowed
+    /// read (`bucket_averages`, `average_in`) and maintained from then on,
+    /// so read only the replicas a decision needs: a replica never read
+    /// costs only its retained change points.
     pub fn concurrency_of(&self, replica: ReplicaId) -> Option<&ConcurrencyTracker> {
         self.rep(replica).map(|r| &r.concurrency)
     }
 
     /// The completion log of one replica.
+    ///
+    /// As with [`World::concurrency_of`], its `(total, good)` count ring
+    /// (144 KB at a 180 s `metrics_horizon`) is built on the first windowed
+    /// read (`bucket_counts`, `count_in`, `goodput_in`); `len`, `latest`
+    /// and `iter_window` read the retained entries and build nothing.
     pub fn completions_of(&self, replica: ReplicaId) -> Option<&CompletionLog> {
         self.rep(replica).map(|r| &r.completions)
     }
@@ -2313,7 +2308,8 @@ impl World {
     }
 
     /// At `run_until` boundaries: per-replica integral checks (CPU-time
-    /// conservation, concurrency-ring consistency). These are O(replicas ×
+    /// conservation, and concurrency-ring consistency for every ring built
+    /// so far). These are O(replicas ×
     /// retained history) — far too costly per event, and closed-loop
     /// drivers call `run_until` many times per simulated second — so the
     /// sweep is throttled to at most once per simulated second (plus the

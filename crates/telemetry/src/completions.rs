@@ -1,9 +1,9 @@
 //! Per-service completion log: response times with time-horizon eviction.
 
-use crate::concurrency::RING_WIDTH_NANOS;
+use crate::concurrency::{ring_capacity, RING_WIDTH_NANOS};
 use sim_core::stats::BucketRing;
 use sim_core::{SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 
 /// A bounded log of `(completion_time, response_time)` pairs for one
@@ -17,7 +17,9 @@ use std::collections::VecDeque;
 /// Windowed counting queries are served from a streaming aggregation ring:
 /// each `record` folds a `(total, good)` pair into a 10 ms [`BucketRing`]
 /// and each eviction subtracts it back out, so aligned queries read
-/// `O(window buckets)` slots instead of re-scanning the raw log. "Good" is
+/// `O(window buckets)` slots instead of re-scanning the raw log. The ring
+/// is built on the first windowed read, by folding the retained entries
+/// into a fresh ring; a log that is never read holds no ring. "Good" is
 /// relative to the most recently queried threshold; querying a *different*
 /// threshold re-folds the retained entries once (no worse than the scan it
 /// replaces) and subsequent queries at that threshold are ring reads. Counts
@@ -43,10 +45,11 @@ use std::collections::VecDeque;
 pub struct CompletionLog {
     horizon: SimDuration,
     entries: VecDeque<(SimTime, SimDuration)>,
-    /// Interior mutability lets `&self` queries re-fold the good counts
-    /// when the threshold changes; the log is used single-threaded per
-    /// world, so `RefCell` costs nothing but a flag check.
-    counts: RefCell<CountRing>,
+    /// `None` until the first windowed read. Interior mutability lets
+    /// `&self` queries build the ring and re-fold the good counts when the
+    /// threshold changes; the log is used single-threaded per world, so
+    /// `RefCell` costs nothing but a flag check.
+    counts: RefCell<Option<CountRing>>,
 }
 
 /// Per-10 ms `(total, good)` completion counts for the retained entries,
@@ -60,14 +63,10 @@ struct CountRing {
 impl CompletionLog {
     /// Creates a log retaining `horizon` of history.
     pub fn new(horizon: SimDuration) -> Self {
-        let capacity = (horizon.as_nanos() / RING_WIDTH_NANOS + 2) as usize;
         CompletionLog {
             horizon,
             entries: VecDeque::new(),
-            counts: RefCell::new(CountRing {
-                threshold: SimDuration::MAX,
-                ring: BucketRing::new(RING_WIDTH_NANOS, capacity),
-            }),
+            counts: RefCell::new(None),
         }
     }
 
@@ -87,36 +86,57 @@ impl CompletionLog {
             _ => {}
         }
         self.entries.push_back((t, rt));
-        let c = self.counts.get_mut();
-        let slot = c
-            .ring
-            .slot_mut(t.as_nanos() / RING_WIDTH_NANOS)
-            .expect("newest bucket is always retained");
-        slot.0 += 1;
-        if rt <= c.threshold {
-            slot.1 += 1;
+        if let Some(c) = self.counts.get_mut() {
+            c.add(t, rt);
         }
         self.evict(t);
     }
 
     /// Sorted-insert path for a completion that arrived after a newer one.
     ///
-    /// The ring slot is resolved *first*: a `None` slot means the sample
-    /// predates ring retention, and admitting it to `entries` without a ring
-    /// slot would break the entries↔ring mirror every windowed query relies
-    /// on — so the sample is dropped outright. Eviction is not re-run (the
-    /// newest timestamp has not advanced).
+    /// A sample older than ring retention is dropped outright: admitting it
+    /// to `entries` without a ring slot would break the entries↔ring mirror
+    /// every windowed query relies on. Retention is measured from the
+    /// newest entry, which is where the ring's frontier sits, so the rule
+    /// is the same whether or not the ring has been built yet. Eviction is
+    /// not re-run (the newest timestamp has not advanced).
     fn record_late(&mut self, t: SimTime, rt: SimDuration) {
-        let c = self.counts.get_mut();
-        let Some(slot) = c.ring.slot_mut(t.as_nanos() / RING_WIDTH_NANOS) else {
+        if t.as_nanos() / RING_WIDTH_NANOS < self.first_retained_bucket() {
             return; // beyond retention: would already have been evicted
-        };
-        slot.0 += 1;
-        if rt <= c.threshold {
-            slot.1 += 1;
+        }
+        if let Some(c) = self.counts.get_mut() {
+            c.add(t, rt);
         }
         let at = self.entries.partition_point(|&(et, _)| et <= t);
         self.entries.insert(at, (t, rt));
+    }
+
+    /// Oldest bucket the ring retains: the newest entry's bucket is the
+    /// ring's newest slot, and the ring holds `ring_capacity` slots.
+    fn first_retained_bucket(&self) -> u64 {
+        self.entries.back().map_or(0, |&(t, _)| {
+            (t.as_nanos() / RING_WIDTH_NANOS + 1).saturating_sub(ring_capacity(self.horizon) as u64)
+        })
+    }
+
+    /// The count ring, built from the retained entries if this is the first
+    /// windowed read, with its `good` half valid for `threshold` when one
+    /// is given.
+    fn count_ring(&self, threshold: Option<SimDuration>) -> RefMut<'_, CountRing> {
+        let mut c = RefMut::map(self.counts.borrow_mut(), |c| {
+            c.get_or_insert_with(|| {
+                let mut c = CountRing {
+                    threshold: SimDuration::MAX,
+                    ring: BucketRing::new(RING_WIDTH_NANOS, ring_capacity(self.horizon)),
+                };
+                c.refold(&self.entries, threshold.unwrap_or(SimDuration::MAX));
+                c
+            })
+        });
+        if let Some(threshold) = threshold.filter(|&thr| thr != c.threshold) {
+            c.refold(&self.entries, threshold);
+        }
+        c
     }
 
     fn evict(&mut self, now: SimTime) {
@@ -125,17 +145,14 @@ impl CompletionLog {
             return;
         }
         let cutoff = SimTime::ZERO + (elapsed - self.horizon);
-        let c = self.counts.get_mut();
+        let counts = self.counts.get_mut();
         while let Some(&(t, rt)) = self.entries.front() {
             if t < cutoff {
                 self.entries.pop_front();
                 // Subtract so ring slots keep mirroring exactly the
                 // retained entries.
-                if let Some(slot) = c.ring.slot_mut(t.as_nanos() / RING_WIDTH_NANOS) {
-                    slot.0 -= 1;
-                    if rt <= c.threshold {
-                        slot.1 -= 1;
-                    }
+                if let Some(c) = counts.as_mut() {
+                    c.remove(t, rt);
                 }
             } else {
                 break;
@@ -161,8 +178,8 @@ impl CompletionLog {
 
     /// Completions in `[from, to)`.
     pub fn count_in(&self, from: SimTime, to: SimTime) -> u64 {
-        let c = self.counts.borrow();
-        if Self::ring_serves(&c.ring, from, to) {
+        if self.ring_serves(from, to) {
+            let c = self.count_ring(None);
             let (b0, b1) = (
                 from.as_nanos() / RING_WIDTH_NANOS,
                 to.as_nanos() / RING_WIDTH_NANOS,
@@ -171,17 +188,13 @@ impl CompletionLog {
                 .map(|b| u64::from(c.ring.get(b).unwrap_or_default().0))
                 .sum();
         }
-        drop(c);
         self.iter_window(from, to).count() as u64
     }
 
     /// Completions in `[from, to)` with response time ≤ `threshold`.
     pub fn goodput_in(&self, from: SimTime, to: SimTime, threshold: SimDuration) -> u64 {
-        let mut c = self.counts.borrow_mut();
-        if Self::ring_serves(&c.ring, from, to) {
-            if c.threshold != threshold {
-                Self::refold(&self.entries, &mut c, threshold);
-            }
+        if self.ring_serves(from, to) {
+            let c = self.count_ring(Some(threshold));
             let (b0, b1) = (
                 from.as_nanos() / RING_WIDTH_NANOS,
                 to.as_nanos() / RING_WIDTH_NANOS,
@@ -190,7 +203,6 @@ impl CompletionLog {
                 .map(|b| u64::from(c.ring.get(b).unwrap_or_default().1))
                 .sum();
         }
-        drop(c);
         self.iter_window(from, to)
             .filter(|&&(_, rt)| rt <= threshold)
             .count() as u64
@@ -239,18 +251,14 @@ impl CompletionLog {
         if n == 0 {
             return;
         }
-        let mut c = self.counts.borrow_mut();
         if !w.is_multiple_of(RING_WIDTH_NANOS)
             || !from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            || from.as_nanos() / RING_WIDTH_NANOS < c.ring.first_retained()
+            || from.as_nanos() / RING_WIDTH_NANOS < self.first_retained_bucket()
         {
-            drop(c);
             self.scan_bucket_counts_into(from, to, width, threshold, out);
             return;
         }
-        if c.threshold != threshold {
-            Self::refold(&self.entries, &mut c, threshold);
-        }
+        let c = self.count_ring(Some(threshold));
         let k = w / RING_WIDTH_NANOS;
         let base = from.as_nanos() / RING_WIDTH_NANOS;
         out.reserve(n as usize);
@@ -317,32 +325,50 @@ impl CompletionLog {
     }
 
     /// True when `[from, to)` is 10 ms-aligned and inside ring retention.
-    fn ring_serves(ring: &BucketRing<(u32, u32)>, from: SimTime, to: SimTime) -> bool {
+    fn ring_serves(&self, from: SimTime, to: SimTime) -> bool {
         from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
             && to.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            && from.as_nanos() / RING_WIDTH_NANOS >= ring.first_retained()
+            && from.as_nanos() / RING_WIDTH_NANOS >= self.first_retained_bucket()
+    }
+}
+
+impl CountRing {
+    /// Folds one retained entry into its slot.
+    fn add(&mut self, t: SimTime, rt: SimDuration) {
+        let slot = self
+            .ring
+            .slot_mut(t.as_nanos() / RING_WIDTH_NANOS)
+            .expect("retained entries have a slot");
+        slot.0 += 1;
+        if rt <= self.threshold {
+            slot.1 += 1;
+        }
     }
 
-    /// Rebuilds the `good` half of every retained slot for a new threshold:
-    /// one pass over the retained entries, amortized across every later
-    /// aligned query at that threshold.
-    fn refold(
-        entries: &VecDeque<(SimTime, SimDuration)>,
-        c: &mut CountRing,
-        threshold: SimDuration,
-    ) {
-        c.threshold = threshold;
-        for b in c.ring.first_retained()..c.ring.next_bucket() {
-            if let Some(slot) = c.ring.slot_mut(b) {
-                slot.1 = 0;
+    /// Takes an evicted entry back out of its slot, if the slot is still
+    /// retained.
+    fn remove(&mut self, t: SimTime, rt: SimDuration) {
+        if let Some(slot) = self.ring.slot_mut(t.as_nanos() / RING_WIDTH_NANOS) {
+            slot.0 -= 1;
+            if rt <= self.threshold {
+                slot.1 -= 1;
+            }
+        }
+    }
+
+    /// Rebuilds every retained slot from the retained entries for
+    /// `threshold`: the first-read build of a fresh ring, and the one pass
+    /// a threshold change costs, amortized across every later aligned
+    /// query at that threshold.
+    fn refold(&mut self, entries: &VecDeque<(SimTime, SimDuration)>, threshold: SimDuration) {
+        self.threshold = threshold;
+        for b in self.ring.first_retained()..self.ring.next_bucket() {
+            if let Some(slot) = self.ring.slot_mut(b) {
+                *slot = (0, 0);
             }
         }
         for &(t, rt) in entries {
-            if rt <= threshold {
-                if let Some(slot) = c.ring.slot_mut(t.as_nanos() / RING_WIDTH_NANOS) {
-                    slot.1 += 1;
-                }
-            }
+            self.add(t, rt);
         }
     }
 }

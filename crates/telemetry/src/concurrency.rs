@@ -2,12 +2,20 @@
 
 use sim_core::stats::BucketRing;
 use sim_core::{SimDuration, SimTime};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 
 /// Resolution of the streaming aggregation ring: 10 ms divides every
 /// sampling interval the pipeline uses (10/20/50/100/200/500 ms), so any
 /// interval-aligned window is a whole number of ring buckets.
 pub(crate) const RING_WIDTH_NANOS: u64 = 10_000_000;
+
+/// Slots in a ring retaining `horizon`: +2 slots of slack for the
+/// partially-filled newest bucket plus the bucket a horizon-length window
+/// starts in.
+pub(crate) fn ring_capacity(horizon: SimDuration) -> usize {
+    (horizon.as_nanos() / RING_WIDTH_NANOS + 2) as usize
+}
 
 /// Tracks the number of requests concurrently *in service* (holding a
 /// thread / being processed) as a piecewise-constant level, and answers
@@ -19,13 +27,16 @@ pub(crate) const RING_WIDTH_NANOS: u64 = 10_000_000;
 ///
 /// Windowed queries are served from a streaming aggregation ring: every
 /// closed level segment folds its exact integer `level · nanoseconds`
-/// integral into a 10 ms [`BucketRing`] at ingest, so an aligned query
-/// reads `O(window buckets)` slots instead of re-walking the change-point
-/// history. The integrals are integers divided once at query time, so
-/// ring-served answers are bit-identical to the retained scan
-/// implementation (exposed as the `*_scan` oracle under
-/// `cfg(any(test, feature = "reference-scan"))`); unaligned or
-/// out-of-retention windows fall back to the scan transparently.
+/// integral into a 10 ms [`BucketRing`], so an aligned query reads
+/// `O(window buckets)` slots instead of re-walking the change-point
+/// history. The ring is built on the first windowed read, by folding the
+/// retained change points into a fresh ring; from then on every segment is
+/// folded as it closes. A tracker that is never read holds no ring. The
+/// integrals are integers divided once at query time, so ring-served
+/// answers are bit-identical to the retained scan implementation (exposed
+/// as the `*_scan` oracle under `cfg(any(test, feature = "reference-scan"))`)
+/// whenever the ring was built; unaligned or out-of-retention windows fall
+/// back to the scan transparently.
 ///
 /// # Example
 ///
@@ -51,9 +62,10 @@ pub struct ConcurrencyTracker {
     current: u32,
     peak: u32,
     /// Per-10 ms `level · nanoseconds` integrals of every *closed* segment
-    /// still described by `changes`. The open tail (last change point to
-    /// "now" at the current level) is added arithmetically at query time.
-    ring: BucketRing<u64>,
+    /// still described by `changes`, built on the first windowed read. The
+    /// open tail (last change point to "now" at the current level) is added
+    /// arithmetically at query time.
+    ring: OnceCell<BucketRing<u64>>,
 }
 
 impl ConcurrencyTracker {
@@ -61,15 +73,12 @@ impl ConcurrencyTracker {
     pub fn new(horizon: SimDuration) -> Self {
         let mut changes = VecDeque::new();
         changes.push_back((SimTime::ZERO, 0));
-        // +2 slots of slack: the partially-filled newest bucket plus the
-        // bucket a horizon-length window starts in.
-        let capacity = (horizon.as_nanos() / RING_WIDTH_NANOS + 2) as usize;
         ConcurrencyTracker {
             horizon,
             changes,
             current: 0,
             peak: 0,
-            ring: BucketRing::new(RING_WIDTH_NANOS, capacity),
+            ring: OnceCell::new(),
         }
     }
 
@@ -111,38 +120,15 @@ impl ConcurrencyTracker {
             self.changes.back_mut().expect("never empty").1 = level;
         } else {
             // The open segment [last_t, t) just closed: fold its integral
-            // into the ring before the deque moves on.
-            self.fold_segment(last_t, t, last_level, true);
+            // into the ring, if one was built, before the deque moves on.
+            if let Some(ring) = self.ring.get_mut() {
+                fold_segment(ring, last_t, t, last_level, true);
+            }
             self.changes.push_back((t, level));
         }
         self.current = level;
         self.peak = self.peak.max(level);
         self.compact(t);
-    }
-
-    /// Adds (or subtracts) a closed segment's per-bucket integral.
-    fn fold_segment(&mut self, from: SimTime, to: SimTime, level: u32, add: bool) {
-        if level == 0 || to <= from {
-            return;
-        }
-        let (mut a, b) = (from.as_nanos(), to.as_nanos());
-        let lvl = u64::from(level);
-        self.ring.advance_to((b - 1) / RING_WIDTH_NANOS);
-        // Chunks below the retention window have no slot; skip them.
-        a = a.max(self.ring.first_retained() * RING_WIDTH_NANOS);
-        while a < b {
-            let bucket = a / RING_WIDTH_NANOS;
-            let chunk_end = b.min((bucket + 1) * RING_WIDTH_NANOS);
-            if let Some(slot) = self.ring.slot_mut(bucket) {
-                let dv = (chunk_end - a) * lvl;
-                if add {
-                    *slot += dv;
-                } else {
-                    *slot -= dv;
-                }
-            }
-            a = chunk_end;
-        }
     }
 
     /// Drops change points no longer needed to answer queries newer than
@@ -158,16 +144,34 @@ impl ConcurrencyTracker {
             let end = self.changes.front().expect("len checked").0;
             // The dropped segment left the deque; subtract its integral so
             // the ring keeps mirroring exactly the retained history.
-            self.fold_segment(start, end, level, false);
+            if let Some(ring) = self.ring.get_mut() {
+                fold_segment(ring, start, end, level, false);
+            }
         }
     }
 
-    /// True when `[from, …)` windows of `width`-multiples can be answered
-    /// from the ring.
-    fn ring_serves(&self, from: SimTime, width_nanos: u64) -> bool {
-        width_nanos.is_multiple_of(RING_WIDTH_NANOS)
-            && from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            && from.as_nanos() / RING_WIDTH_NANOS >= self.ring.first_retained()
+    /// The ring, built on first use by folding every closed retained
+    /// segment into a fresh one. That is the state ingest would have
+    /// maintained: compaction subtracted every dropped segment back out,
+    /// so only retained segments were ever left in retained slots.
+    fn ring(&self) -> &BucketRing<u64> {
+        self.ring.get_or_init(|| {
+            let mut ring = BucketRing::new(RING_WIDTH_NANOS, ring_capacity(self.horizon));
+            fold_retained(&self.changes, &mut ring);
+            ring
+        })
+    }
+
+    /// The ring when `[from, …)` windows of `width`-multiples can be
+    /// answered from it (building it if the window is aligned).
+    fn serving_ring(&self, from: SimTime, width_nanos: u64) -> Option<&BucketRing<u64>> {
+        if !width_nanos.is_multiple_of(RING_WIDTH_NANOS)
+            || !from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
+        {
+            return None;
+        }
+        let ring = self.ring();
+        (from.as_nanos() / RING_WIDTH_NANOS >= ring.first_retained()).then_some(ring)
     }
 
     /// Integral of the open tail segment over `[bs, be)` nanoseconds.
@@ -191,16 +195,19 @@ impl ConcurrencyTracker {
     /// Panics if `from >= to`.
     pub fn average_in(&self, from: SimTime, to: SimTime) -> f64 {
         assert!(from < to, "empty window");
-        if self.ring_serves(from, RING_WIDTH_NANOS)
-            && to.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-        {
+        let ring = if to.as_nanos().is_multiple_of(RING_WIDTH_NANOS) {
+            self.serving_ring(from, RING_WIDTH_NANOS)
+        } else {
+            None
+        };
+        if let Some(ring) = ring {
             let (b0, b1) = (
                 from.as_nanos() / RING_WIDTH_NANOS,
                 to.as_nanos() / RING_WIDTH_NANOS,
             );
             let mut sum: u64 = 0;
             for b in b0..b1 {
-                sum += self.ring.get(b).unwrap_or(0);
+                sum += ring.get(b).unwrap_or(0);
             }
             sum += self.open_tail(from.as_nanos(), to.as_nanos());
             return sum as f64 / (to - from).as_nanos() as f64;
@@ -234,10 +241,10 @@ impl ConcurrencyTracker {
         if n == 0 {
             return;
         }
-        if !self.ring_serves(from, w) {
+        let Some(ring) = self.serving_ring(from, w) else {
             self.scan_bucket_averages_into(from, to, width, out);
             return;
-        }
+        };
         let k = w / RING_WIDTH_NANOS;
         let base = from.as_nanos() / RING_WIDTH_NANOS;
         let wf = w as f64;
@@ -246,7 +253,7 @@ impl ConcurrencyTracker {
             let b0 = base + i * k;
             let mut sum: u64 = 0;
             for b in b0..b0 + k {
-                sum += self.ring.get(b).unwrap_or(0);
+                sum += ring.get(b).unwrap_or(0);
             }
             let bs = from.as_nanos() + i * w;
             sum += self.open_tail(bs, bs + w);
@@ -319,12 +326,14 @@ impl ConcurrencyTracker {
         }
     }
 
-    /// Rebuilds the per-bucket integral of every *closed* retained segment
-    /// from the change-point ledger and compares it — exactly, bit for bit —
-    /// against the streaming ring, reporting divergences into `sink`.
+    /// Rebuilds the ring from the change-point ledger, with the routine
+    /// that builds it on first read, and compares it — exactly, bit for
+    /// bit — against the streaming ring, reporting divergences into `sink`.
+    /// A tracker never read has no ring and nothing to check.
     ///
-    /// The reconstruction clips segments at the ring's current retention
-    /// start, mirroring what `fold_segment` did at ingest: contributions a
+    /// The rebuild starts from a fresh ring advanced to the live ring's
+    /// frontier, so segments are clipped at the same retention start that
+    /// `fold_segment` clipped them at during ingest: contributions a
     /// segment once made to since-dropped buckets are irrelevant, and for
     /// every still-retained bucket the ingest-time and audit-time chunking
     /// agree term by term (all arithmetic is integer), so any mismatch is a
@@ -332,35 +341,19 @@ impl ConcurrencyTracker {
     #[cfg(feature = "audit")]
     pub fn audit_into(&self, now: SimTime, sink: &mut dyn sim_core::audit::AuditSink) {
         use sim_core::audit::{Invariant, Violation};
-        let first = self.ring.first_retained();
-        let next = self.ring.next_bucket();
-        if next <= first {
+        let Some(ring) = self.ring.get() else {
             return;
+        };
+        let mut expected = BucketRing::new(RING_WIDTH_NANOS, ring.capacity());
+        if let Some(newest) = ring.next_bucket().checked_sub(1) {
+            expected.advance_to(newest);
         }
-        let mut expected = vec![0u64; (next - first) as usize];
-        let clip = first * RING_WIDTH_NANOS;
-        for i in 0..self.changes.len().saturating_sub(1) {
-            let (start, level) = self.changes[i];
-            let end = self.changes[i + 1].0;
-            if level == 0 {
-                continue;
-            }
-            let (mut a, b) = (start.as_nanos().max(clip), end.as_nanos());
-            let lvl = u64::from(level);
-            while a < b {
-                let bucket = a / RING_WIDTH_NANOS;
-                let chunk_end = b.min((bucket + 1) * RING_WIDTH_NANOS);
-                if bucket >= first && bucket < next {
-                    expected[(bucket - first) as usize] += (chunk_end - a) * lvl;
-                }
-                a = chunk_end;
-            }
-        }
+        fold_retained(&self.changes, &mut expected);
         let mut bad = 0u64;
         let mut example = None;
-        for (i, &want) in expected.iter().enumerate() {
-            let bucket = first + i as u64;
-            let got = self.ring.get(bucket).unwrap_or(0);
+        for bucket in ring.first_retained()..expected.next_bucket() {
+            let got = ring.get(bucket).unwrap_or(0);
+            let want = expected.get(bucket).unwrap_or(0);
             if got != want {
                 bad += 1;
                 example.get_or_insert((bucket, got, want));
@@ -391,6 +384,39 @@ impl ConcurrencyTracker {
             };
             (start, end, level)
         })
+    }
+}
+
+/// Folds every closed segment of `changes` into `ring`, oldest first: the
+/// first-read build of a tracker's ring, and the audit's reconstruction.
+fn fold_retained(changes: &VecDeque<(SimTime, u32)>, ring: &mut BucketRing<u64>) {
+    for (&(start, level), &(end, _)) in changes.iter().zip(changes.iter().skip(1)) {
+        fold_segment(ring, start, end, level, true);
+    }
+}
+
+/// Adds (or subtracts) a closed segment's per-bucket integral.
+fn fold_segment(ring: &mut BucketRing<u64>, from: SimTime, to: SimTime, level: u32, add: bool) {
+    if level == 0 || to <= from {
+        return;
+    }
+    let (mut a, b) = (from.as_nanos(), to.as_nanos());
+    let lvl = u64::from(level);
+    ring.advance_to((b - 1) / RING_WIDTH_NANOS);
+    // Chunks below the retention window have no slot; skip them.
+    a = a.max(ring.first_retained() * RING_WIDTH_NANOS);
+    while a < b {
+        let bucket = a / RING_WIDTH_NANOS;
+        let chunk_end = b.min((bucket + 1) * RING_WIDTH_NANOS);
+        if let Some(slot) = ring.slot_mut(bucket) {
+            let dv = (chunk_end - a) * lvl;
+            if add {
+                *slot += dv;
+            } else {
+                *slot -= dv;
+            }
+        }
+        a = chunk_end;
     }
 }
 
@@ -509,19 +535,39 @@ mod tests {
     }
 
     /// Under `--features audit` the ring must equal the ledger integral
-    /// even after compaction has dropped old change points.
+    /// even after compaction has dropped old change points, whether it was
+    /// built before any ingest or on a read halfway through; a corrupted
+    /// slot is reported, and a tracker never read has nothing to check.
     #[cfg(feature = "audit")]
     #[test]
     fn audit_is_clean_after_compaction() {
         use sim_core::audit::CountingSink;
-        let mut c = ConcurrencyTracker::new(SimDuration::from_millis(100));
+        let horizon = SimDuration::from_millis(100);
+        let (mut early, mut late, mut unread) = (
+            ConcurrencyTracker::new(horizon),
+            ConcurrencyTracker::new(horizon),
+            ConcurrencyTracker::new(horizon),
+        );
+        early.average_in(t(0), t(10));
         for i in 0..1000u64 {
-            c.enter(t(i * 2));
-            c.leave(t(i * 2 + 1));
+            if i == 500 {
+                late.average_in(t(900), t(1000));
+            }
+            for c in [&mut early, &mut late, &mut unread] {
+                c.enter(t(i * 2));
+                c.leave(t(i * 2 + 1));
+            }
         }
+        assert!(unread.ring.get().is_none(), "never read, never built");
         let mut sink = CountingSink::new();
-        c.audit_into(t(2000), &mut sink);
+        for c in [&early, &late, &unread] {
+            c.audit_into(t(2000), &mut sink);
+        }
         assert_eq!(sink.total(), 0, "{}", sink.summary());
+        let newest = early.ring.get().unwrap().next_bucket() - 1;
+        *early.ring.get_mut().unwrap().slot_mut(newest).unwrap() += 1;
+        early.audit_into(t(2000), &mut sink);
+        assert_eq!(sink.total(), 1, "{}", sink.summary());
     }
 
     proptest! {

@@ -4,6 +4,7 @@
 use crate::{ReplicaId, ServiceId, Trace};
 use sim_core::stats::{pearson, OnlineStats};
 use sim_core::SimDuration;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// One hop of a request's critical path.
@@ -96,10 +97,13 @@ impl CriticalPathStats {
     }
 
     /// The most frequent critical-path shape, if any traces were analysed.
+    /// Among equally frequent shapes the shortest wins, then the one whose
+    /// service-id sequence is lowest, so the answer does not depend on
+    /// hash order.
     pub fn dominant_path(&self) -> Option<&[ServiceId]> {
         self.path_counts
             .iter()
-            .max_by_key(|(path, &count)| (count, std::cmp::Reverse(path.len())))
+            .max_by_key(|(path, &count)| (count, Reverse(path.len()), Reverse(path.as_slice())))
             .map(|(path, _)| path.as_slice())
     }
 
@@ -385,6 +389,24 @@ mod tests {
         assert_eq!(stats.dominant_path(), Some(long.as_slice()));
         assert_eq!(stats.on_path_count(ServiceId(0)), 5);
         assert_eq!(stats.on_path_count(ServiceId(1)), 2);
+    }
+
+    #[test]
+    fn tied_shapes_resolve_to_the_lowest_service_ids_in_any_order() {
+        // Two equally long shapes, seen once each: [0, 1] (cart) and
+        // [0, 2] (catalogue; its db call is cut off so the path stops).
+        let cart = fanout_trace(0, 20);
+        let mut catalogue = fanout_trace(1, 100);
+        catalogue.spans.truncate(3);
+        let tied =
+            |traces: [&Trace; 2]| per_service_stats(traces).dominant_path().map(<[_]>::to_vec);
+        let want = Some(vec![ServiceId(0), ServiceId(1)]);
+        // Every map gets fresh hash keys, so repeating varies the order
+        // an order-dependent tie-break would see.
+        for _ in 0..16 {
+            assert_eq!(tied([&cart, &catalogue]), want);
+            assert_eq!(tied([&catalogue, &cart]), want);
+        }
     }
 
     #[test]

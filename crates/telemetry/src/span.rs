@@ -79,38 +79,49 @@ impl Span {
     }
 
     /// Wall time covered by at least one outstanding child call (interval
-    /// union, robust to parallel fan-out).
+    /// union, robust to parallel fan-out). Allocates nothing: children are
+    /// recorded in issue order, so their clipped starts are sorted and one
+    /// merging sweep covers them; children out of start order are visited
+    /// in `(start, index)` order by repeated selection instead.
     pub fn child_wait_time(&self) -> SimDuration {
-        if self.children.is_empty() {
-            return SimDuration::ZERO;
+        let clipped = |c: &ChildCall| (c.start.max(self.arrival), c.end.min(self.departure));
+        if self.children.is_sorted_by_key(|c| clipped(c).0) {
+            return union_len(self.children.iter().map(clipped));
         }
-        let mut intervals: Vec<(SimTime, SimTime)> = self
-            .children
-            .iter()
-            .map(|c| (c.start.max(self.arrival), c.end.min(self.departure)))
-            .filter(|(s, e)| e > s)
-            .collect();
-        intervals.sort();
-        let mut covered = SimDuration::ZERO;
-        let mut cursor: Option<(SimTime, SimTime)> = None;
-        for (s, e) in intervals {
-            match cursor {
-                None => cursor = Some((s, e)),
-                Some((cs, ce)) => {
-                    if s <= ce {
-                        cursor = Some((cs, ce.max(e)));
-                    } else {
-                        covered += ce - cs;
-                        cursor = Some((s, e));
-                    }
-                }
-            }
-        }
-        if let Some((cs, ce)) = cursor {
-            covered += ce - cs;
-        }
-        covered
+        let mut last: Option<(SimTime, usize)> = None;
+        union_len(std::iter::from_fn(|| {
+            let next = self
+                .children
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (clipped(c).0, i))
+                .filter(|&key| last.is_none_or(|l| key > l))
+                .min()?;
+            last = Some(next);
+            Some(clipped(&self.children[next.1]))
+        }))
     }
+}
+
+/// Length of the union of `[start, end)` intervals given in start order;
+/// empty and inverted intervals cover nothing.
+fn union_len(intervals: impl Iterator<Item = (SimTime, SimTime)>) -> SimDuration {
+    let mut covered = SimDuration::ZERO;
+    let mut cursor: Option<(SimTime, SimTime)> = None;
+    for (s, e) in intervals.filter(|(s, e)| e > s) {
+        match cursor {
+            Some((cs, ce)) if s <= ce => cursor = Some((cs, ce.max(e))),
+            Some((cs, ce)) => {
+                covered += ce - cs;
+                cursor = Some((s, e));
+            }
+            None => cursor = Some((s, e)),
+        }
+    }
+    if let Some((cs, ce)) = cursor {
+        covered += ce - cs;
+    }
+    covered
 }
 
 /// A finished request: its metadata plus every span it produced, root first.
@@ -251,6 +262,65 @@ mod tests {
         );
         assert_eq!(s.child_wait_time().as_millis(), 40);
         assert_eq!(s.self_time(), SimDuration::ZERO);
+    }
+
+    /// The original implementation, kept as the oracle: collect the
+    /// clipped intervals, sort them, merge.
+    fn child_wait_time_sorting(s: &Span) -> SimDuration {
+        let mut intervals: Vec<(SimTime, SimTime)> = s
+            .children
+            .iter()
+            .map(|c| (c.start.max(s.arrival), c.end.min(s.departure)))
+            .filter(|(a, b)| b > a)
+            .collect();
+        intervals.sort();
+        let mut covered = SimDuration::ZERO;
+        let mut cursor: Option<(SimTime, SimTime)> = None;
+        for (a, b) in intervals {
+            match cursor {
+                None => cursor = Some((a, b)),
+                Some((cs, ce)) => {
+                    if a <= ce {
+                        cursor = Some((cs, ce.max(b)));
+                    } else {
+                        covered += ce - cs;
+                        cursor = Some((a, b));
+                    }
+                }
+            }
+        }
+        if let Some((cs, ce)) = cursor {
+            covered += ce - cs;
+        }
+        covered
+    }
+
+    proptest::proptest! {
+        /// The allocation-free union equals the sorting oracle exactly, on
+        /// children in issue order (sorted starts) and in arbitrary order,
+        /// with intervals that overlap, touch, are empty or inverted, or
+        /// stick out of the span.
+        #[test]
+        fn prop_child_wait_time_equals_sorting_oracle(
+            calls in proptest::collection::vec((0u64..200, 0u64..200), 0..12),
+            in_issue_order in 0u8..2,
+            arrival in 0u64..60,
+            departure in 0u64..220,
+        ) {
+            let mut children: Vec<ChildCall> = calls
+                .iter()
+                .map(|&(start, end)| ChildCall {
+                    service: ServiceId(1),
+                    start: t(start),
+                    end: t(end),
+                })
+                .collect();
+            if in_issue_order == 1 {
+                children.sort_by_key(|c| c.start);
+            }
+            let s = span(0, arrival, departure.max(arrival), children);
+            proptest::prop_assert_eq!(s.child_wait_time(), child_wait_time_sorting(&s));
+        }
     }
 
     #[test]
