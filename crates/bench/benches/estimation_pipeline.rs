@@ -1,26 +1,16 @@
-//! Criterion benchmarks of the estimation pipeline: ring-served streaming
-//! aggregation versus the retained reference-scan oracle, plus an
-//! end-to-end control-loop run.
+//! Criterion benchmarks of the estimation pipeline, plus an end-to-end
+//! control-loop run.
 //!
 //! The pipeline under test is the per-tick hot path of the adapter: build
 //! the trailing 60 s scatter at 100 ms buckets, bin it, and run the SCG
-//! knee estimate. The `_ring` variant reads the O(1)-ingest bucket rings
-//! through reusable scratch (zero steady-state allocation); the `_scan`
-//! variant rebuilds every bucket from raw history the way the
-//! pre-streaming implementation did. Both produce bit-identical points —
-//! the delta is pure aggregation cost.
-//!
-//! Requires the `reference-scan` feature on `telemetry` (enabled by this
-//! crate's dev-dependencies).
+//! knee estimate, through reusable scratch (zero steady-state allocation).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use scg::ScgModel;
 use sim_core::{SimDuration, SimRng, SimTime};
 use sora_bench::{App, ScenarioSpec, SoftAdaptation};
 use std::hint::black_box;
-use telemetry::{
-    build_scatter_into, build_scatter_scan, CompletionLog, ConcurrencyTracker, ScatterScratch,
-};
+use telemetry::{build_scatter_into, CompletionLog, ConcurrencyTracker, ScatterScratch};
 use workload::TraceShape;
 
 /// One minute of irregular enter/leave/record traffic at ~500
@@ -59,12 +49,12 @@ fn bench_pipeline(c: &mut Criterion) {
     let threshold = Some(SimDuration::from_millis(8));
     let (from, to) = WINDOW;
 
-    // Ring path: the shipping implementation. Scratch persists across
-    // iterations exactly as the estimator holds it across control ticks.
+    // Scratch persists across iterations exactly as the estimator holds it
+    // across control ticks.
     let mut scratch = ScatterScratch::default();
     let mut points = Vec::new();
     let mut bins = Vec::new();
-    c.bench_function("estimation_pipeline_ring", |b| {
+    c.bench_function("estimation_pipeline", |b| {
         b.iter(|| {
             points.clear();
             build_scatter_into(
@@ -79,16 +69,6 @@ fn bench_pipeline(c: &mut Criterion) {
             );
             model.aggregate_counted_into(&points, &mut bins);
             black_box(model.estimate_binned(&bins))
-        })
-    });
-
-    // Reference-scan path: rebuild every bucket from raw history, then the
-    // original BTreeMap-backed estimate. This is what each control tick
-    // cost before the streaming layer.
-    c.bench_function("estimation_pipeline_scan", |b| {
-        b.iter(|| {
-            let pts = build_scatter_scan(&conc, &log, from, to, INTERVAL, threshold);
-            black_box(model.estimate(&pts))
         })
     });
 }

@@ -138,6 +138,15 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
+    /// Each fault kind's JSON tag, with the fields its object defines.
+    const KNOWN_FIELDS: [(&'static str, &'static [&'static str]); 5] = [
+        ("crash", &["service", "at_ms", "restart_after_ms"]),
+        ("cpu_pressure", &["node", "at_ms", "duration_ms", "factor"]),
+        ("telemetry_blackout", &["at_ms", "duration_ms", "lag"]),
+        ("partition", &["a", "b", "at_ms", "duration_ms"]),
+        ("link_slow", &["a", "b", "at_ms", "duration_ms", "factor"]),
+    ];
+
     /// The same fault translated `delta_ms` later — the input half of the
     /// time-translation metamorphic oracle (shift *every* input, faults
     /// included, and completions must shift exactly).
@@ -239,6 +248,16 @@ pub struct RetrySpec {
 }
 
 impl RetrySpec {
+    /// Every field the `retry` object defines.
+    const KNOWN_FIELDS: [&'static str; 6] = [
+        "max_retries",
+        "base_backoff_ms",
+        "max_backoff_ms",
+        "jitter_frac",
+        "budget_ratio",
+        "budget_cap",
+    ];
+
     /// The concrete policy, with defaults filled in.
     pub fn policy(&self) -> RetryPolicy {
         let d = RetryPolicy::default();
@@ -286,6 +305,15 @@ pub struct NetSpec {
 }
 
 impl NetSpec {
+    /// Every field the `net` object defines.
+    const KNOWN_FIELDS: [&'static str; 5] = [
+        "latency_us",
+        "loss",
+        "duplicate",
+        "call_timeout_ms",
+        "max_call_retries",
+    ];
+
     /// The concrete network configuration.
     pub fn network_config(&self) -> NetworkConfig {
         let latency = SimDuration::from_micros(self.latency_us.unwrap_or(0));
@@ -400,10 +428,11 @@ pub enum ScenarioError {
         /// The parser's message.
         message: String,
     },
-    /// A top-level field the schema does not define — almost always a typo
-    /// that would otherwise be silently ignored.
+    /// A field the schema does not define — almost always a typo that
+    /// would otherwise be silently ignored.
     UnknownField {
-        /// The offending field name.
+        /// The offending field's path: `max_user` at the top level,
+        /// `net.latncy_us` or `faults[0].crash.restart_afer_ms` below it.
         field: String,
     },
     /// A known field failed to deserialize (wrong type, unknown enum
@@ -471,8 +500,11 @@ pub struct ScenarioOutcome {
 
 impl ScenarioSpec {
     /// Every top-level field the schema defines. `parse` rejects anything
-    /// else: the derive-level deserializer ignores unknown keys, which
-    /// would silently turn a typo (`"max_user"`) into a default value.
+    /// else, here and in the `retry`, `net` and `faults` objects: the
+    /// derive-level deserializer ignores unknown keys, which would silently
+    /// turn a typo (`"max_user"`) into a default value. The fuzzer's
+    /// `round_trip` oracle parses every generated spec's full serialization,
+    /// so a field missing from these lists fails it.
     pub const KNOWN_FIELDS: [&'static str; 18] = [
         "app",
         "trace",
@@ -547,9 +579,22 @@ impl ScenarioSpec {
         let obj = value.as_object().ok_or_else(|| ScenarioError::Malformed {
             message: "scenario config must be a JSON object".to_string(),
         })?;
-        for (key, _) in obj.iter() {
-            if !Self::KNOWN_FIELDS.contains(&key.as_str()) {
-                return Err(ScenarioError::UnknownField { field: key.clone() });
+        reject_unknown_keys(obj, "", &Self::KNOWN_FIELDS)?;
+        let nested = |key: &str| obj.get(key).and_then(serde_json::Value::as_object);
+        if let Some(retry) = nested("retry") {
+            reject_unknown_keys(retry, "retry.", &RetrySpec::KNOWN_FIELDS)?;
+        }
+        if let Some(net) = nested("net") {
+            reject_unknown_keys(net, "net.", &NetSpec::KNOWN_FIELDS)?;
+        }
+        let faults = obj.get("faults").and_then(serde_json::Value::as_array);
+        for (i, fault) in faults.unwrap_or_default().iter().enumerate() {
+            // An unknown kind is the deserializer's error to report.
+            for (kind, body) in fault.as_object().into_iter().flat_map(|f| f.iter()) {
+                let known = FaultSpec::KNOWN_FIELDS.iter().find(|(k, _)| k == kind);
+                if let (Some((_, fields)), Some(body)) = (known, body.as_object()) {
+                    reject_unknown_keys(body, &format!("faults[{i}].{kind}."), fields)?;
+                }
             }
         }
         serde_json::from_value(&value).map_err(|e| ScenarioError::BadField {
@@ -1179,6 +1224,21 @@ fn strip_unset(v: &serde_json::Value) -> serde_json::Value {
     }
 }
 
+/// The first key of `obj` that `known` does not list, as an
+/// [`ScenarioError::UnknownField`] named `prefix` + key.
+fn reject_unknown_keys(
+    obj: &serde_json::Map,
+    prefix: &str,
+    known: &[&str],
+) -> Result<(), ScenarioError> {
+    match obj.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+        Some((key, _)) => Err(ScenarioError::UnknownField {
+            field: format!("{prefix}{key}"),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A scenario ready to run: the pieces [`ScenarioSpec::build`] assembles.
 pub struct BuiltScenario {
     /// The simulated cluster.
@@ -1272,6 +1332,22 @@ mod tests {
         match ScenarioSpec::parse(typo).unwrap_err() {
             ScenarioError::UnknownField { field } => assert_eq!(field, "max_user"),
             other => panic!("expected UnknownField, got {other:?}"),
+        }
+        // Unknown fields inside the nested objects, named by their path.
+        let base = r#""app": "sock_shop", "trace": "Steady", "max_users": 10.0,
+                      "duration_secs": 5, "sla_ms": 400"#;
+        for (nested, path) in [
+            (r#""net": {"latncy_us": 200}"#, "net.latncy_us"),
+            (r#""retry": {"max_retry": 2}"#, "retry.max_retry"),
+            (
+                r#""faults": [{"crash": {"service": 0, "at_ms": 1000, "restart_afer_ms": 500}}]"#,
+                "faults[0].crash.restart_afer_ms",
+            ),
+        ] {
+            match ScenarioSpec::parse(&format!("{{{base}, {nested}}}")).unwrap_err() {
+                ScenarioError::UnknownField { field } => assert_eq!(field, path),
+                other => panic!("expected UnknownField for {path}, got {other:?}"),
+            }
         }
         // Bad enum variant.
         let bad_trace = r#"{"app": "sock_shop", "trace": "NoSuchTrace", "max_users": 10.0,

@@ -2114,23 +2114,16 @@ impl World {
         &self.services[service.get() as usize].replicas
     }
 
-    /// The concurrency sampler of one replica.
-    ///
-    /// Its 10 ms aggregation ring (8 B per slot, one slot per 10 ms of
-    /// `metrics_horizon`: 144 KB at 180 s) is built on the first windowed
-    /// read (`bucket_averages`, `average_in`) and maintained from then on,
-    /// so read only the replicas a decision needs: a replica never read
-    /// costs only its retained change points.
+    /// The concurrency sampler of one replica. It keeps the change points
+    /// of the last `metrics_horizon`, and a windowed read scans only those
+    /// inside its window.
     pub fn concurrency_of(&self, replica: ReplicaId) -> Option<&ConcurrencyTracker> {
         self.rep(replica).map(|r| &r.concurrency)
     }
 
-    /// The completion log of one replica.
-    ///
-    /// As with [`World::concurrency_of`], its `(total, good)` count ring
-    /// (144 KB at a 180 s `metrics_horizon`) is built on the first windowed
-    /// read (`bucket_counts`, `count_in`, `goodput_in`); `len`, `latest`
-    /// and `iter_window` read the retained entries and build nothing.
+    /// The completion log of one replica. It keeps the completions of the
+    /// last `metrics_horizon`, and a windowed read scans only those inside
+    /// its window.
     pub fn completions_of(&self, replica: ReplicaId) -> Option<&CompletionLog> {
         self.rep(replica).map(|r| &r.completions)
     }
@@ -2307,15 +2300,14 @@ impl World {
         );
     }
 
-    /// At `run_until` boundaries: per-replica integral checks (CPU-time
-    /// conservation, and concurrency-ring consistency for every ring built
-    /// so far). These are O(replicas ×
-    /// retained history) — far too costly per event, and closed-loop
+    /// At `run_until` boundaries: per-replica CPU-time conservation and
+    /// the warehouse's stored-trace idempotence. These are O(replicas +
+    /// retained traces) — far too costly per event, and closed-loop
     /// drivers call `run_until` many times per simulated second — so the
     /// sweep is throttled to at most once per simulated second (plus the
-    /// very first boundary). Drift in an integral persists until the
-    /// offending history leaves the retention horizon (60 s), so a 1 s
-    /// audit grid cannot miss it.
+    /// very first boundary). A CPU integral that drifts stays drifted, and
+    /// a duplicate stored trace persists until it leaves the retention
+    /// horizon (180 s), so a 1 s audit grid cannot miss either.
     fn audit_run_boundary(&mut self) {
         let now = self.clock;
         if now < self.audit_next_boundary {
@@ -2323,7 +2315,6 @@ impl World {
         }
         self.audit_next_boundary = now + sim_core::SimDuration::from_secs(1);
         for (_, r) in self.replicas.iter() {
-            r.concurrency.audit_into(now, &mut self.audit_sink);
             r.cpu.audit_into(now, &mut self.audit_sink);
         }
         self.warehouse.audit_into(now, &mut self.audit_sink);

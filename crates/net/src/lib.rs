@@ -31,8 +31,7 @@
 //! serialization — draws **nothing** ([`Dist::Constant`] consumes no RNG
 //! words), so a fully transparent network is byte-identical to the
 //! function-edge engine it replaces; the engine is kept in-tree as the
-//! equivalence oracle, the same pattern as the telemetry ring/scan
-//! oracle.
+//! equivalence oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -174,8 +174,8 @@ impl ScgModel {
 
     /// Estimates from pre-aggregated `(q, mean_rate, samples)` bins — the
     /// entry point for callers that already hold the window's bins (built
-    /// once via [`ScgModel::aggregate_counted_into`] from ring-served
-    /// buckets) and skips re-binning the raw scatter per estimate.
+    /// once via [`ScgModel::aggregate_counted_into`] from the window's
+    /// scatter) and skips re-binning the raw scatter per estimate.
     pub fn estimate_binned(&self, binned: &[(f64, f64, u64)]) -> Option<ConcurrencyEstimate> {
         if binned.len() < self.config.min_bins {
             return None;

@@ -1,11 +1,11 @@
 //! Runtime conservation-law auditing.
 //!
-//! The simulator's telemetry is built from hand-rolled incremental data
-//! structures (bucket rings, token buckets, per-pod service accumulators).
-//! Each maintains a quantity that is *conserved* by construction: requests
-//! are injected exactly once and leave exactly once, CPU service delivered
-//! can never exceed capacity × elapsed, a concurrency ring must equal the
-//! integral of its enter/leave ledger. This module defines those laws as
+//! The simulator is built from hand-rolled incremental data structures
+//! (token buckets, per-pod service accumulators, a deduplicating trace
+//! warehouse). Each maintains a quantity that is *conserved* by
+//! construction: requests are injected exactly once and leave exactly once,
+//! CPU service delivered can never exceed capacity × elapsed, a retry
+//! budget spends only the tokens it earned. This module defines those laws as
 //! checkable [`Invariant`]s and a tiny [`AuditSink`] seam through which
 //! components report [`Violation`]s at runtime.
 //!
@@ -28,9 +28,6 @@ pub enum Invariant {
     /// (`limit × elapsed`, pressure-adjusted), and useful work never exceeds
     /// busy time.
     CpuTimeConservation,
-    /// The concurrency bucket ring equals the integral of the live
-    /// enter/leave ledger over every retained bucket.
-    ConcurrencyIntegral,
     /// Retry-budget tokens obey the earn/spend ledger exactly:
     /// `tokens = cap + earned - clipped - spent` and never exceed the cap.
     RetryBudget,
@@ -44,10 +41,9 @@ pub enum Invariant {
 
 impl Invariant {
     /// All invariants, in reporting order.
-    pub const ALL: [Invariant; 6] = [
+    pub const ALL: [Invariant; 5] = [
         Invariant::RequestConservation,
         Invariant::CpuTimeConservation,
-        Invariant::ConcurrencyIntegral,
         Invariant::RetryBudget,
         Invariant::EventMonotonicity,
         Invariant::TelemetryIdempotence,
@@ -58,7 +54,6 @@ impl Invariant {
         match self {
             Invariant::RequestConservation => "request_conservation",
             Invariant::CpuTimeConservation => "cpu_time_conservation",
-            Invariant::ConcurrencyIntegral => "concurrency_integral",
             Invariant::RetryBudget => "retry_budget",
             Invariant::EventMonotonicity => "event_monotonicity",
             Invariant::TelemetryIdempotence => "telemetry_idempotence",
@@ -69,10 +64,9 @@ impl Invariant {
         match self {
             Invariant::RequestConservation => 0,
             Invariant::CpuTimeConservation => 1,
-            Invariant::ConcurrencyIntegral => 2,
-            Invariant::RetryBudget => 3,
-            Invariant::EventMonotonicity => 4,
-            Invariant::TelemetryIdempotence => 5,
+            Invariant::RetryBudget => 2,
+            Invariant::EventMonotonicity => 3,
+            Invariant::TelemetryIdempotence => 4,
         }
     }
 }
@@ -120,7 +114,7 @@ pub trait AuditSink {
 /// few full [`Violation`] records for diagnostics.
 #[derive(Debug, Clone, Default)]
 pub struct CountingSink {
-    counts: [u64; 6],
+    counts: [u64; Invariant::ALL.len()],
     first: Vec<Violation>,
 }
 

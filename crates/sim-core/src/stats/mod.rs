@@ -3,7 +3,6 @@
 //! queries, Pearson correlation, forecast-error metrics and time-bucketed
 //! series accumulation.
 
-mod bucket_ring;
 mod correlation;
 mod error;
 mod histogram;
@@ -11,7 +10,6 @@ mod quantile;
 mod streaming;
 mod timeseries;
 
-pub use bucket_ring::BucketRing;
 pub use correlation::pearson;
 pub use error::{mae, mape, rmse};
 pub use histogram::LatencyHistogram;

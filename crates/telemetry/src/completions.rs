@@ -1,10 +1,11 @@
 //! Per-service completion log: response times with time-horizon eviction.
 
-use crate::concurrency::{ring_capacity, RING_WIDTH_NANOS};
-use sim_core::stats::BucketRing;
 use sim_core::{SimDuration, SimTime};
-use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
+
+/// Granularity of the cutoff beyond which [`CompletionLog::record`] drops a
+/// late sample: whole 10 ms buckets, counted back from the newest entry's.
+const LATE_BUCKET_NANOS: u64 = 10_000_000;
 
 /// A bounded log of `(completion_time, response_time)` pairs for one
 /// service.
@@ -14,19 +15,9 @@ use std::collections::VecDeque;
 /// the log stores raw response times and computes goodput for any threshold
 /// on demand, rather than committing to a threshold at ingest.
 ///
-/// Windowed counting queries are served from a streaming aggregation ring:
-/// each `record` folds a `(total, good)` pair into a 10 ms [`BucketRing`]
-/// and each eviction subtracts it back out, so aligned queries read
-/// `O(window buckets)` slots instead of re-scanning the raw log. The ring
-/// is built on the first windowed read, by folding the retained entries
-/// into a fresh ring; a log that is never read holds no ring. "Good" is
-/// relative to the most recently queried threshold; querying a *different*
-/// threshold re-folds the retained entries once (no worse than the scan it
-/// replaces) and subsequent queries at that threshold are ring reads. Counts
-/// are exact integers, so ring-served answers are bit-identical to the
-/// retained scan implementation (exposed as the `*_scan` oracle under
-/// `cfg(any(test, feature = "reference-scan"))`); unaligned or
-/// out-of-retention windows fall back to the scan transparently.
+/// Windowed queries scan the retained entries: a binary search finds each
+/// end of the window, so a query reads only the entries inside it, and
+/// bucketed queries walk bucket boundaries with a running index.
 ///
 /// # Example
 ///
@@ -45,19 +36,6 @@ use std::collections::VecDeque;
 pub struct CompletionLog {
     horizon: SimDuration,
     entries: VecDeque<(SimTime, SimDuration)>,
-    /// `None` until the first windowed read. Interior mutability lets
-    /// `&self` queries build the ring and re-fold the good counts when the
-    /// threshold changes; the log is used single-threaded per world, so
-    /// `RefCell` costs nothing but a flag check.
-    counts: RefCell<Option<CountRing>>,
-}
-
-/// Per-10 ms `(total, good)` completion counts for the retained entries,
-/// with `good` valid for `threshold`.
-#[derive(Debug, Clone)]
-struct CountRing {
-    threshold: SimDuration,
-    ring: BucketRing<(u32, u32)>,
 }
 
 impl CompletionLog {
@@ -66,7 +44,6 @@ impl CompletionLog {
         CompletionLog {
             horizon,
             entries: VecDeque::new(),
-            counts: RefCell::new(None),
         }
     }
 
@@ -75,68 +52,34 @@ impl CompletionLog {
     /// The fast path appends: the function-edge simulator emits completions
     /// in time order. Under a simulated network, telemetry reports can be
     /// delayed past each other and arrive *out of order*; a late sample is
-    /// sorted into place (keeping window queries exact) if it still falls
-    /// inside the retention window, and silently discarded otherwise — a
-    /// report that stale would have been evicted already had it arrived on
-    /// time, and dropping it keeps the count ring an exact mirror of the
-    /// retained entries.
+    /// sorted into place (keeping window queries exact) if it is no older
+    /// than the retention horizon plus a bucket of slack, and silently
+    /// discarded otherwise — a report that stale would have been evicted
+    /// already had it arrived on time.
     pub fn record(&mut self, t: SimTime, rt: SimDuration) {
         match self.entries.back() {
             Some(&(last, _)) if t < last => return self.record_late(t, rt),
             _ => {}
         }
         self.entries.push_back((t, rt));
-        if let Some(c) = self.counts.get_mut() {
-            c.add(t, rt);
-        }
         self.evict(t);
     }
 
     /// Sorted-insert path for a completion that arrived after a newer one.
     ///
-    /// A sample older than ring retention is dropped outright: admitting it
-    /// to `entries` without a ring slot would break the entries↔ring mirror
-    /// every windowed query relies on. Retention is measured from the
-    /// newest entry, which is where the ring's frontier sits, so the rule
-    /// is the same whether or not the ring has been built yet. Eviction is
-    /// not re-run (the newest timestamp has not advanced).
+    /// The sample is kept when its 10 ms bucket is one of the
+    /// `horizon / 10 ms + 2` buckets that end at the newest entry's, and
+    /// dropped otherwise. Eviction is not re-run (the newest timestamp has
+    /// not advanced).
     fn record_late(&mut self, t: SimTime, rt: SimDuration) {
-        if t.as_nanos() / RING_WIDTH_NANOS < self.first_retained_bucket() {
+        let newest = self.entries.back().expect("a late sample follows one").0;
+        let kept_buckets = self.horizon.as_nanos() / LATE_BUCKET_NANOS + 2;
+        let oldest_kept = (newest.as_nanos() / LATE_BUCKET_NANOS + 1).saturating_sub(kept_buckets);
+        if t.as_nanos() / LATE_BUCKET_NANOS < oldest_kept {
             return; // beyond retention: would already have been evicted
-        }
-        if let Some(c) = self.counts.get_mut() {
-            c.add(t, rt);
         }
         let at = self.entries.partition_point(|&(et, _)| et <= t);
         self.entries.insert(at, (t, rt));
-    }
-
-    /// Oldest bucket the ring retains: the newest entry's bucket is the
-    /// ring's newest slot, and the ring holds `ring_capacity` slots.
-    fn first_retained_bucket(&self) -> u64 {
-        self.entries.back().map_or(0, |&(t, _)| {
-            (t.as_nanos() / RING_WIDTH_NANOS + 1).saturating_sub(ring_capacity(self.horizon) as u64)
-        })
-    }
-
-    /// The count ring, built from the retained entries if this is the first
-    /// windowed read, with its `good` half valid for `threshold` when one
-    /// is given.
-    fn count_ring(&self, threshold: Option<SimDuration>) -> RefMut<'_, CountRing> {
-        let mut c = RefMut::map(self.counts.borrow_mut(), |c| {
-            c.get_or_insert_with(|| {
-                let mut c = CountRing {
-                    threshold: SimDuration::MAX,
-                    ring: BucketRing::new(RING_WIDTH_NANOS, ring_capacity(self.horizon)),
-                };
-                c.refold(&self.entries, threshold.unwrap_or(SimDuration::MAX));
-                c
-            })
-        });
-        if let Some(threshold) = threshold.filter(|&thr| thr != c.threshold) {
-            c.refold(&self.entries, threshold);
-        }
-        c
     }
 
     fn evict(&mut self, now: SimTime) {
@@ -145,15 +88,9 @@ impl CompletionLog {
             return;
         }
         let cutoff = SimTime::ZERO + (elapsed - self.horizon);
-        let counts = self.counts.get_mut();
-        while let Some(&(t, rt)) = self.entries.front() {
+        while let Some(&(t, _)) = self.entries.front() {
             if t < cutoff {
                 self.entries.pop_front();
-                // Subtract so ring slots keep mirroring exactly the
-                // retained entries.
-                if let Some(c) = counts.as_mut() {
-                    c.remove(t, rt);
-                }
             } else {
                 break;
             }
@@ -178,31 +115,11 @@ impl CompletionLog {
 
     /// Completions in `[from, to)`.
     pub fn count_in(&self, from: SimTime, to: SimTime) -> u64 {
-        if self.ring_serves(from, to) {
-            let c = self.count_ring(None);
-            let (b0, b1) = (
-                from.as_nanos() / RING_WIDTH_NANOS,
-                to.as_nanos() / RING_WIDTH_NANOS,
-            );
-            return (b0..b1)
-                .map(|b| u64::from(c.ring.get(b).unwrap_or_default().0))
-                .sum();
-        }
         self.iter_window(from, to).count() as u64
     }
 
     /// Completions in `[from, to)` with response time ≤ `threshold`.
     pub fn goodput_in(&self, from: SimTime, to: SimTime, threshold: SimDuration) -> u64 {
-        if self.ring_serves(from, to) {
-            let c = self.count_ring(Some(threshold));
-            let (b0, b1) = (
-                from.as_nanos() / RING_WIDTH_NANOS,
-                to.as_nanos() / RING_WIDTH_NANOS,
-            );
-            return (b0..b1)
-                .map(|b| u64::from(c.ring.get(b).unwrap_or_default().1))
-                .sum();
-        }
         self.iter_window(from, to)
             .filter(|&&(_, rt)| rt <= threshold)
             .count() as u64
@@ -251,70 +168,37 @@ impl CompletionLog {
         if n == 0 {
             return;
         }
-        if !w.is_multiple_of(RING_WIDTH_NANOS)
-            || !from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            || from.as_nanos() / RING_WIDTH_NANOS < self.first_retained_bucket()
-        {
-            self.scan_bucket_counts_into(from, to, width, threshold, out);
-            return;
-        }
-        let c = self.count_ring(Some(threshold));
-        let k = w / RING_WIDTH_NANOS;
-        let base = from.as_nanos() / RING_WIDTH_NANOS;
-        out.reserve(n as usize);
-        for i in 0..n {
-            let b0 = base + i * k;
-            let (mut total, mut good) = (0u64, 0u64);
-            for b in b0..b0 + k {
-                let (t_, g) = c.ring.get(b).unwrap_or_default();
-                total += u64::from(t_);
-                good += u64::from(g);
+        out.resize(n as usize, (0, 0));
+        // The bucket the current entry falls in, and where it ends: entries
+        // are time-ordered, so the index only counts up.
+        let (mut idx, mut bucket_end) = (0, from.as_nanos() + w);
+        for &(t, rt) in self.iter_window(from, from + width * n) {
+            while bucket_end <= t.as_nanos() {
+                idx += 1;
+                bucket_end += w;
             }
-            out.push((total, good));
+            out[idx].0 += 1;
+            if rt <= threshold {
+                out[idx].1 += 1;
+            }
         }
     }
+}
 
-    /// Reference scan implementation of [`CompletionLog::bucket_counts`] —
-    /// the equivalence oracle for the ring path.
-    #[cfg(any(test, feature = "reference-scan"))]
-    pub fn bucket_counts_scan(
+/// The straight scan the bucketed query replaced — one division per entry
+/// — kept as the reference the property tests in `scan_equivalence.rs`
+/// hold it to.
+#[cfg(test)]
+impl CompletionLog {
+    pub(crate) fn reference_bucket_counts(
         &self,
         from: SimTime,
         to: SimTime,
         width: SimDuration,
         threshold: SimDuration,
     ) -> Vec<(u64, u64)> {
-        assert!(!width.is_zero(), "bucket width must be non-zero");
-        let mut out = Vec::new();
-        self.scan_bucket_counts_into(from, to, width, threshold, &mut out);
-        out
-    }
-
-    /// Reference scan implementation of [`CompletionLog::count_in`].
-    #[cfg(any(test, feature = "reference-scan"))]
-    pub fn count_in_scan(&self, from: SimTime, to: SimTime) -> u64 {
-        self.iter_window(from, to).count() as u64
-    }
-
-    /// Reference scan implementation of [`CompletionLog::goodput_in`].
-    #[cfg(any(test, feature = "reference-scan"))]
-    pub fn goodput_in_scan(&self, from: SimTime, to: SimTime, threshold: SimDuration) -> u64 {
-        self.iter_window(from, to)
-            .filter(|&&(_, rt)| rt <= threshold)
-            .count() as u64
-    }
-
-    fn scan_bucket_counts_into(
-        &self,
-        from: SimTime,
-        to: SimTime,
-        width: SimDuration,
-        threshold: SimDuration,
-        out: &mut Vec<(u64, u64)>,
-    ) {
         let n = (to.saturating_since(from).as_nanos() / width.as_nanos()) as usize;
-        out.clear();
-        out.resize(n, (0u64, 0u64));
+        let mut out = vec![(0u64, 0u64); n];
         for &(t, rt) in self.iter_window(from, from + width * n as u64) {
             let idx = ((t - from).as_nanos() / width.as_nanos()) as usize;
             out[idx].0 += 1;
@@ -322,54 +206,22 @@ impl CompletionLog {
                 out[idx].1 += 1;
             }
         }
+        out
     }
 
-    /// True when `[from, to)` is 10 ms-aligned and inside ring retention.
-    fn ring_serves(&self, from: SimTime, to: SimTime) -> bool {
-        from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            && to.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-            && from.as_nanos() / RING_WIDTH_NANOS >= self.first_retained_bucket()
-    }
-}
-
-impl CountRing {
-    /// Folds one retained entry into its slot.
-    fn add(&mut self, t: SimTime, rt: SimDuration) {
-        let slot = self
-            .ring
-            .slot_mut(t.as_nanos() / RING_WIDTH_NANOS)
-            .expect("retained entries have a slot");
-        slot.0 += 1;
-        if rt <= self.threshold {
-            slot.1 += 1;
-        }
-    }
-
-    /// Takes an evicted entry back out of its slot, if the slot is still
-    /// retained.
-    fn remove(&mut self, t: SimTime, rt: SimDuration) {
-        if let Some(slot) = self.ring.slot_mut(t.as_nanos() / RING_WIDTH_NANOS) {
-            slot.0 -= 1;
-            if rt <= self.threshold {
-                slot.1 -= 1;
-            }
-        }
-    }
-
-    /// Rebuilds every retained slot from the retained entries for
-    /// `threshold`: the first-read build of a fresh ring, and the one pass
-    /// a threshold change costs, amortized across every later aligned
-    /// query at that threshold.
-    fn refold(&mut self, entries: &VecDeque<(SimTime, SimDuration)>, threshold: SimDuration) {
-        self.threshold = threshold;
-        for b in self.ring.first_retained()..self.ring.next_bucket() {
-            if let Some(slot) = self.ring.slot_mut(b) {
-                *slot = (0, 0);
-            }
-        }
-        for &(t, rt) in entries {
-            self.add(t, rt);
-        }
+    /// `(completions, good completions)` in `[from, to)`, by a linear pass
+    /// over every retained entry.
+    pub(crate) fn reference_counts(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        threshold: SimDuration,
+    ) -> (u64, u64) {
+        let inside = || self.entries.iter().filter(|&&(t, _)| from <= t && t < to);
+        (
+            inside().count() as u64,
+            inside().filter(|&&(_, rt)| rt <= threshold).count() as u64,
+        )
     }
 }
 
@@ -447,14 +299,31 @@ mod tests {
         log.record(t(500), d(1)); // evicts the 10 ms entry
         log.record(t(10), d(1)); // far staler than the horizon: dropped
         assert_eq!(log.len(), 1);
-        assert_eq!(
-            log.count_in(t(0), t(1000)),
-            log.count_in_scan(t(0), t(1000))
-        );
+        assert_eq!(log.count_in(t(0), t(1000)), 1);
+    }
+
+    /// The late-sample cutoff in 10 ms buckets: with a 1 s horizon and the
+    /// newest entry in bucket 500, the `1 s / 10 ms + 2 = 102` kept buckets
+    /// are 399..=500, so a sample in bucket 399 is kept (although eviction
+    /// would drop it at the next on-time record) and one in bucket 398 is
+    /// dropped.
+    #[test]
+    fn late_record_cutoff_is_whole_buckets_back_from_the_newest() {
+        let mut log = CompletionLog::new(SimDuration::from_secs(1));
+        log.record(t(5_005), d(1));
+        assert_eq!(log.len(), 1);
+        log.record(SimTime::from_nanos(3_990_000_000), d(2)); // first ns of bucket 399
+        assert_eq!(log.len(), 2, "one bucket inside the cutoff is kept");
+        log.record(SimTime::from_nanos(3_989_999_999), d(3)); // last ns of bucket 398
+        assert_eq!(log.len(), 2, "one bucket outside the cutoff is dropped");
+        assert_eq!(log.count_in(t(3_980), t(4_000)), 1);
+        assert_eq!(log.goodput_in(t(3_980), t(4_000), d(2)), 1);
+        log.record(t(5_006), d(1)); // eviction cutoff 4 006 ms
+        assert_eq!(log.len(), 2, "the kept late sample is evicted on time");
     }
 
     #[test]
-    fn ring_matches_scan_with_late_inserts() {
+    fn scan_matches_reference_with_late_inserts() {
         let mut log = CompletionLog::new(d(500));
         for i in 0..100u64 {
             log.record(t(1000 + i * 7), SimDuration::from_micros(i * 997 % 40_000));
@@ -467,41 +336,45 @@ mod tests {
         for thr_ms in [5u64, 20] {
             assert_eq!(
                 log.bucket_counts(f, to, d(50), d(thr_ms)),
-                log.bucket_counts_scan(f, to, d(50), d(thr_ms)),
+                log.reference_bucket_counts(f, to, d(50), d(thr_ms)),
                 "threshold {thr_ms}"
             );
+            assert_eq!(
+                (log.count_in(f, to), log.goodput_in(f, to, d(thr_ms))),
+                log.reference_counts(f, to, d(thr_ms))
+            );
         }
-        assert_eq!(log.count_in(f, to), log.count_in_scan(f, to));
     }
 
     #[test]
-    fn ring_matches_scan_across_thresholds_and_eviction() {
+    fn scan_matches_reference_across_thresholds_and_eviction() {
         let mut log = CompletionLog::new(d(500));
         for i in 0..300u64 {
             log.record(t(i * 7), SimDuration::from_micros(i * 997 % 40_000));
         }
-        // Alternating thresholds force repeated refolds.
         for thr_ms in [5u64, 20, 5, 33] {
             let (f, to) = (t(1700), t(2100));
             assert_eq!(
                 log.bucket_counts(f, to, d(50), d(thr_ms)),
-                log.bucket_counts_scan(f, to, d(50), d(thr_ms)),
+                log.reference_bucket_counts(f, to, d(50), d(thr_ms)),
                 "threshold {thr_ms}"
             );
             assert_eq!(
-                log.goodput_in(f, to, d(thr_ms)),
-                log.goodput_in_scan(f, to, d(thr_ms))
+                (log.count_in(f, to), log.goodput_in(f, to, d(thr_ms))),
+                log.reference_counts(f, to, d(thr_ms))
             );
         }
-        // A window straddling the evicted region falls back to the scan and
-        // still matches.
+        // A window straddling the evicted region.
         assert_eq!(
             log.bucket_counts(t(0), t(2100), d(100), d(10)),
-            log.bucket_counts_scan(t(0), t(2100), d(100), d(10))
+            log.reference_bucket_counts(t(0), t(2100), d(100), d(10))
         );
         assert_eq!(
-            log.count_in(t(0), t(2100)),
-            log.count_in_scan(t(0), t(2100))
+            (
+                log.count_in(t(0), t(2100)),
+                log.goodput_in(t(0), t(2100), d(10))
+            ),
+            log.reference_counts(t(0), t(2100), d(10))
         );
     }
 

@@ -1,21 +1,7 @@
 //! Time-weighted concurrency tracking for one service.
 
-use sim_core::stats::BucketRing;
 use sim_core::{SimDuration, SimTime};
-use std::cell::OnceCell;
 use std::collections::VecDeque;
-
-/// Resolution of the streaming aggregation ring: 10 ms divides every
-/// sampling interval the pipeline uses (10/20/50/100/200/500 ms), so any
-/// interval-aligned window is a whole number of ring buckets.
-pub(crate) const RING_WIDTH_NANOS: u64 = 10_000_000;
-
-/// Slots in a ring retaining `horizon`: +2 slots of slack for the
-/// partially-filled newest bucket plus the bucket a horizon-length window
-/// starts in.
-pub(crate) fn ring_capacity(horizon: SimDuration) -> usize {
-    (horizon.as_nanos() / RING_WIDTH_NANOS + 2) as usize
-}
 
 /// Tracks the number of requests concurrently *in service* (holding a
 /// thread / being processed) as a piecewise-constant level, and answers
@@ -25,18 +11,11 @@ pub(crate) fn ring_capacity(horizon: SimDuration) -> usize {
 /// Change points older than the retention horizon are compacted away, so
 /// memory stays bounded during long runs.
 ///
-/// Windowed queries are served from a streaming aggregation ring: every
-/// closed level segment folds its exact integer `level · nanoseconds`
-/// integral into a 10 ms [`BucketRing`], so an aligned query reads
-/// `O(window buckets)` slots instead of re-walking the change-point
-/// history. The ring is built on the first windowed read, by folding the
-/// retained change points into a fresh ring; from then on every segment is
-/// folded as it closes. A tracker that is never read holds no ring. The
-/// integrals are integers divided once at query time, so ring-served
-/// answers are bit-identical to the retained scan implementation (exposed
-/// as the `*_scan` oracle under `cfg(any(test, feature = "reference-scan"))`)
-/// whenever the ring was built; unaligned or out-of-retention windows fall
-/// back to the scan transparently.
+/// Windowed queries scan the retained change points. A binary search finds
+/// the segment in force when the window opens, and the walk stops where it
+/// closes, so a query reads only the segments that overlap its window.
+/// Bucketed queries walk bucket boundaries with a running index, with no
+/// division per chunk.
 ///
 /// # Example
 ///
@@ -61,11 +40,6 @@ pub struct ConcurrencyTracker {
     changes: VecDeque<(SimTime, u32)>,
     current: u32,
     peak: u32,
-    /// Per-10 ms `level · nanoseconds` integrals of every *closed* segment
-    /// still described by `changes`, built on the first windowed read. The
-    /// open tail (last change point to "now" at the current level) is added
-    /// arithmetically at query time.
-    ring: OnceCell<BucketRing<u64>>,
 }
 
 impl ConcurrencyTracker {
@@ -78,7 +52,6 @@ impl ConcurrencyTracker {
             changes,
             current: 0,
             peak: 0,
-            ring: OnceCell::new(),
         }
     }
 
@@ -115,15 +88,9 @@ impl ConcurrencyTracker {
             return;
         }
         if t == last_t {
-            // Coalesce simultaneous changes. The segment ending here was
-            // folded when this change point was first pushed.
+            // Coalesce simultaneous changes.
             self.changes.back_mut().expect("never empty").1 = level;
         } else {
-            // The open segment [last_t, t) just closed: fold its integral
-            // into the ring, if one was built, before the deque moves on.
-            if let Some(ring) = self.ring.get_mut() {
-                fold_segment(ring, last_t, t, last_level, true);
-            }
             self.changes.push_back((t, level));
         }
         self.current = level;
@@ -140,51 +107,7 @@ impl ConcurrencyTracker {
         }
         let cutoff = SimTime::ZERO + (keep_from - self.horizon);
         while self.changes.len() >= 2 && self.changes[1].0 <= cutoff {
-            let (start, level) = self.changes.pop_front().expect("len checked");
-            let end = self.changes.front().expect("len checked").0;
-            // The dropped segment left the deque; subtract its integral so
-            // the ring keeps mirroring exactly the retained history.
-            if let Some(ring) = self.ring.get_mut() {
-                fold_segment(ring, start, end, level, false);
-            }
-        }
-    }
-
-    /// The ring, built on first use by folding every closed retained
-    /// segment into a fresh one. That is the state ingest would have
-    /// maintained: compaction subtracted every dropped segment back out,
-    /// so only retained segments were ever left in retained slots.
-    fn ring(&self) -> &BucketRing<u64> {
-        self.ring.get_or_init(|| {
-            let mut ring = BucketRing::new(RING_WIDTH_NANOS, ring_capacity(self.horizon));
-            fold_retained(&self.changes, &mut ring);
-            ring
-        })
-    }
-
-    /// The ring when `[from, …)` windows of `width`-multiples can be
-    /// answered from it (building it if the window is aligned).
-    fn serving_ring(&self, from: SimTime, width_nanos: u64) -> Option<&BucketRing<u64>> {
-        if !width_nanos.is_multiple_of(RING_WIDTH_NANOS)
-            || !from.as_nanos().is_multiple_of(RING_WIDTH_NANOS)
-        {
-            return None;
-        }
-        let ring = self.ring();
-        (from.as_nanos() / RING_WIDTH_NANOS >= ring.first_retained()).then_some(ring)
-    }
-
-    /// Integral of the open tail segment over `[bs, be)` nanoseconds.
-    fn open_tail(&self, bs: u64, be: u64) -> u64 {
-        let lvl = u64::from(self.current);
-        if lvl == 0 {
-            return 0;
-        }
-        let open = self.changes.back().expect("never empty").0.as_nanos();
-        if be > open {
-            (be - bs.max(open)) * lvl
-        } else {
-            0
+            self.changes.pop_front();
         }
     }
 
@@ -195,24 +118,18 @@ impl ConcurrencyTracker {
     /// Panics if `from >= to`.
     pub fn average_in(&self, from: SimTime, to: SimTime) -> f64 {
         assert!(from < to, "empty window");
-        let ring = if to.as_nanos().is_multiple_of(RING_WIDTH_NANOS) {
-            self.serving_ring(from, RING_WIDTH_NANOS)
-        } else {
-            None
-        };
-        if let Some(ring) = ring {
-            let (b0, b1) = (
-                from.as_nanos() / RING_WIDTH_NANOS,
-                to.as_nanos() / RING_WIDTH_NANOS,
-            );
-            let mut sum: u64 = 0;
-            for b in b0..b1 {
-                sum += ring.get(b).unwrap_or(0);
+        let mut integral = 0.0;
+        for (seg_start, seg_end, level) in self.segments_from(from) {
+            if seg_start >= to {
+                break;
             }
-            sum += self.open_tail(from.as_nanos(), to.as_nanos());
-            return sum as f64 / (to - from).as_nanos() as f64;
+            let s = seg_start.max(from);
+            let e = seg_end.min(to);
+            if e > s {
+                integral += (e - s).as_nanos() as f64 * f64::from(level);
+            }
         }
-        self.scan_average_in(from, to)
+        integral / (to - from).as_nanos() as f64
     }
 
     /// Average level in each `width`-sized bucket of `[from, to)`.
@@ -241,48 +158,67 @@ impl ConcurrencyTracker {
         if n == 0 {
             return;
         }
-        let Some(ring) = self.serving_ring(from, w) else {
-            self.scan_bucket_averages_into(from, to, width, out);
-            return;
-        };
-        let k = w / RING_WIDTH_NANOS;
-        let base = from.as_nanos() / RING_WIDTH_NANOS;
-        let wf = w as f64;
-        out.reserve(n as usize);
-        for i in 0..n {
-            let b0 = base + i * k;
-            let mut sum: u64 = 0;
-            for b in b0..b0 + k {
-                sum += ring.get(b).unwrap_or(0);
+        out.resize(n as usize, 0.0);
+        let start = from.as_nanos();
+        let end = start + w * n;
+        // The bucket `cursor` falls in, and where that bucket ends: the
+        // cursor only moves forward, so the index only counts up.
+        let (mut idx, mut bucket_end) = (0, start + w);
+        for (seg_start, seg_end, level) in self.segments_from(from) {
+            let seg_start = seg_start.as_nanos();
+            if seg_start >= end {
+                break;
             }
-            let bs = from.as_nanos() + i * w;
-            sum += self.open_tail(bs, bs + w);
-            out.push(sum as f64 / wf);
+            if level == 0 {
+                continue;
+            }
+            let mut cursor = seg_start.max(start);
+            let e = seg_end.as_nanos().min(end);
+            while cursor < e {
+                while bucket_end <= cursor {
+                    idx += 1;
+                    bucket_end += w;
+                }
+                let chunk_end = bucket_end.min(e);
+                out[idx] += (chunk_end - cursor) as f64 * f64::from(level);
+                cursor = chunk_end;
+            }
+        }
+        let wf = w as f64;
+        for v in out.iter_mut() {
+            *v /= wf;
         }
     }
 
-    /// Reference scan implementation of [`ConcurrencyTracker::average_in`]
-    /// — the equivalence oracle for the ring path.
-    #[cfg(any(test, feature = "reference-scan"))]
-    pub fn average_in_scan(&self, from: SimTime, to: SimTime) -> f64 {
-        assert!(from < to, "empty window");
-        self.scan_average_in(from, to)
+    /// `(start, end, level)` segments from the one in force at `from`
+    /// onwards; the final segment extends to [`SimTime::MAX`] with the
+    /// current level. Every earlier segment ends at or before `from`.
+    fn segments_from(&self, from: SimTime) -> impl Iterator<Item = (SimTime, SimTime, u32)> + '_ {
+        let first = self
+            .changes
+            .partition_point(|&(t, _)| t <= from)
+            .saturating_sub(1);
+        let ends = self
+            .changes
+            .range(first + 1..)
+            .map(|&(t, _)| t)
+            .chain(std::iter::once(SimTime::MAX));
+        self.changes
+            .range(first..)
+            .zip(ends)
+            .map(|(&(start, level), end)| (start, end, level))
     }
+}
 
-    /// Reference scan implementation of
-    /// [`ConcurrencyTracker::bucket_averages`] — the equivalence oracle for
-    /// the ring path.
-    #[cfg(any(test, feature = "reference-scan"))]
-    pub fn bucket_averages_scan(&self, from: SimTime, to: SimTime, width: SimDuration) -> Vec<f64> {
-        assert!(!width.is_zero(), "bucket width must be non-zero");
-        let mut out = Vec::new();
-        self.scan_bucket_averages_into(from, to, width, &mut out);
-        out
-    }
-
-    fn scan_average_in(&self, from: SimTime, to: SimTime) -> f64 {
+/// The straight scans the windowed queries replaced — every retained
+/// segment (`segments_from(ZERO)`), one division per chunk — kept as the
+/// bit-for-bit reference the property tests in `scan_equivalence.rs` hold
+/// the queries to.
+#[cfg(test)]
+impl ConcurrencyTracker {
+    pub(crate) fn reference_average_in(&self, from: SimTime, to: SimTime) -> f64 {
         let mut integral = 0.0;
-        for (seg_start, seg_end, level) in self.segments() {
+        for (seg_start, seg_end, level) in self.segments_from(SimTime::ZERO) {
             let s = seg_start.max(from);
             let e = seg_end.min(to);
             if e > s {
@@ -292,17 +228,15 @@ impl ConcurrencyTracker {
         integral / (to - from).as_nanos() as f64
     }
 
-    fn scan_bucket_averages_into(
+    pub(crate) fn reference_bucket_averages(
         &self,
         from: SimTime,
         to: SimTime,
         width: SimDuration,
-        out: &mut Vec<f64>,
-    ) {
+    ) -> Vec<f64> {
         let n = (to.saturating_since(from).as_nanos() / width.as_nanos()) as usize;
-        out.clear();
-        out.resize(n, 0.0);
-        for (seg_start, seg_end, level) in self.segments() {
+        let mut out = vec![0.0; n];
+        for (seg_start, seg_end, level) in self.segments_from(SimTime::ZERO) {
             if level == 0 {
                 continue;
             }
@@ -324,99 +258,7 @@ impl ConcurrencyTracker {
         for v in out.iter_mut() {
             *v /= w;
         }
-    }
-
-    /// Rebuilds the ring from the change-point ledger, with the routine
-    /// that builds it on first read, and compares it — exactly, bit for
-    /// bit — against the streaming ring, reporting divergences into `sink`.
-    /// A tracker never read has no ring and nothing to check.
-    ///
-    /// The rebuild starts from a fresh ring advanced to the live ring's
-    /// frontier, so segments are clipped at the same retention start that
-    /// `fold_segment` clipped them at during ingest: contributions a
-    /// segment once made to since-dropped buckets are irrelevant, and for
-    /// every still-retained bucket the ingest-time and audit-time chunking
-    /// agree term by term (all arithmetic is integer), so any mismatch is a
-    /// real accounting bug, not tolerance noise.
-    #[cfg(feature = "audit")]
-    pub fn audit_into(&self, now: SimTime, sink: &mut dyn sim_core::audit::AuditSink) {
-        use sim_core::audit::{Invariant, Violation};
-        let Some(ring) = self.ring.get() else {
-            return;
-        };
-        let mut expected = BucketRing::new(RING_WIDTH_NANOS, ring.capacity());
-        if let Some(newest) = ring.next_bucket().checked_sub(1) {
-            expected.advance_to(newest);
-        }
-        fold_retained(&self.changes, &mut expected);
-        let mut bad = 0u64;
-        let mut example = None;
-        for bucket in ring.first_retained()..expected.next_bucket() {
-            let got = ring.get(bucket).unwrap_or(0);
-            let want = expected.get(bucket).unwrap_or(0);
-            if got != want {
-                bad += 1;
-                example.get_or_insert((bucket, got, want));
-            }
-        }
-        if let Some((bucket, got, want)) = example {
-            sink.record(Violation {
-                invariant: Invariant::ConcurrencyIntegral,
-                at_nanos: now.as_nanos(),
-                detail: format!(
-                    "{bad} ring bucket(s) diverge from the enter/leave ledger; \
-                     first at bucket {bucket}: ring {got} vs ledger {want} level-ns"
-                ),
-            });
-        }
-    }
-
-    /// Iterates `(start, end, level)` segments; the final segment extends to
-    /// [`SimTime::MAX`] with the current level.
-    fn segments(&self) -> impl Iterator<Item = (SimTime, SimTime, u32)> + '_ {
-        let n = self.changes.len();
-        (0..n).map(move |i| {
-            let (start, level) = self.changes[i];
-            let end = if i + 1 < n {
-                self.changes[i + 1].0
-            } else {
-                SimTime::MAX
-            };
-            (start, end, level)
-        })
-    }
-}
-
-/// Folds every closed segment of `changes` into `ring`, oldest first: the
-/// first-read build of a tracker's ring, and the audit's reconstruction.
-fn fold_retained(changes: &VecDeque<(SimTime, u32)>, ring: &mut BucketRing<u64>) {
-    for (&(start, level), &(end, _)) in changes.iter().zip(changes.iter().skip(1)) {
-        fold_segment(ring, start, end, level, true);
-    }
-}
-
-/// Adds (or subtracts) a closed segment's per-bucket integral.
-fn fold_segment(ring: &mut BucketRing<u64>, from: SimTime, to: SimTime, level: u32, add: bool) {
-    if level == 0 || to <= from {
-        return;
-    }
-    let (mut a, b) = (from.as_nanos(), to.as_nanos());
-    let lvl = u64::from(level);
-    ring.advance_to((b - 1) / RING_WIDTH_NANOS);
-    // Chunks below the retention window have no slot; skip them.
-    a = a.max(ring.first_retained() * RING_WIDTH_NANOS);
-    while a < b {
-        let bucket = a / RING_WIDTH_NANOS;
-        let chunk_end = b.min((bucket + 1) * RING_WIDTH_NANOS);
-        if let Some(slot) = ring.slot_mut(bucket) {
-            let dv = (chunk_end - a) * lvl;
-            if add {
-                *slot += dv;
-            } else {
-                *slot -= dv;
-            }
-        }
-        a = chunk_end;
+        out
     }
 }
 
@@ -501,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_matches_scan_on_aligned_and_unaligned_windows() {
+    fn scan_matches_reference_on_aligned_and_unaligned_windows() {
         let mut c = ConcurrencyTracker::new(SimDuration::from_secs(1));
         let mut lvl = 0u32;
         for i in 0..400u64 {
@@ -514,60 +356,27 @@ mod tests {
                 lvl -= 1;
             }
         }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         for (from_ms, to_ms, w_ms) in [(0u64, 3000u64, 100u64), (2000, 3100, 50), (2500, 3000, 10)]
         {
-            let ring = c.bucket_averages(t(from_ms), t(to_ms), SimDuration::from_millis(w_ms));
-            let scan = c.bucket_averages_scan(t(from_ms), t(to_ms), SimDuration::from_millis(w_ms));
-            assert_eq!(ring, scan, "window {from_ms}..{to_ms} w={w_ms}");
+            let (f, to, w) = (t(from_ms), t(to_ms), SimDuration::from_millis(w_ms));
+            assert_eq!(
+                bits(c.bucket_averages(f, to, w)),
+                bits(c.reference_bucket_averages(f, to, w)),
+                "window {from_ms}..{to_ms} w={w_ms}"
+            );
         }
-        // Unaligned window exercises the fallback.
         let f = SimTime::from_nanos(123_456);
         let to = SimTime::from_nanos(2_000_123_456);
         let w = SimDuration::from_nanos(77_000_003);
         assert_eq!(
-            c.bucket_averages(f, to, w),
-            c.bucket_averages_scan(f, to, w)
+            bits(c.bucket_averages(f, to, w)),
+            bits(c.reference_bucket_averages(f, to, w))
         );
         assert_eq!(
             c.average_in(t(2000), t(3000)).to_bits(),
-            c.average_in_scan(t(2000), t(3000)).to_bits()
+            c.reference_average_in(t(2000), t(3000)).to_bits()
         );
-    }
-
-    /// Under `--features audit` the ring must equal the ledger integral
-    /// even after compaction has dropped old change points, whether it was
-    /// built before any ingest or on a read halfway through; a corrupted
-    /// slot is reported, and a tracker never read has nothing to check.
-    #[cfg(feature = "audit")]
-    #[test]
-    fn audit_is_clean_after_compaction() {
-        use sim_core::audit::CountingSink;
-        let horizon = SimDuration::from_millis(100);
-        let (mut early, mut late, mut unread) = (
-            ConcurrencyTracker::new(horizon),
-            ConcurrencyTracker::new(horizon),
-            ConcurrencyTracker::new(horizon),
-        );
-        early.average_in(t(0), t(10));
-        for i in 0..1000u64 {
-            if i == 500 {
-                late.average_in(t(900), t(1000));
-            }
-            for c in [&mut early, &mut late, &mut unread] {
-                c.enter(t(i * 2));
-                c.leave(t(i * 2 + 1));
-            }
-        }
-        assert!(unread.ring.get().is_none(), "never read, never built");
-        let mut sink = CountingSink::new();
-        for c in [&early, &late, &unread] {
-            c.audit_into(t(2000), &mut sink);
-        }
-        assert_eq!(sink.total(), 0, "{}", sink.summary());
-        let newest = early.ring.get().unwrap().next_bucket() - 1;
-        *early.ring.get_mut().unwrap().slot_mut(newest).unwrap() += 1;
-        early.audit_into(t(2000), &mut sink);
-        assert_eq!(sink.total(), 1, "{}", sink.summary());
     }
 
     proptest! {

@@ -27,7 +27,7 @@ mod concurrency;
 mod critical_path;
 mod ids;
 #[cfg(test)]
-mod ring_equivalence;
+mod scan_equivalence;
 mod scatter;
 mod span;
 mod warehouse;
@@ -38,8 +38,6 @@ pub use completions::CompletionLog;
 pub use concurrency::ConcurrencyTracker;
 pub use critical_path::{critical_path, per_service_stats, CriticalPathStats, PathHop};
 pub use ids::{ReplicaId, RequestId, RequestTypeId, ServiceId, SpanId};
-#[cfg(any(test, feature = "reference-scan"))]
-pub use scatter::build_scatter_scan;
 pub use scatter::ScatterScratch;
 pub use scatter::{build_scatter, build_scatter_into, build_scatter_throughput, ScatterPoint};
 pub use span::{ChildCall, Span, Trace};

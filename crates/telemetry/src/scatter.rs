@@ -126,28 +126,9 @@ pub fn build_scatter_into(
     push_points(&scratch.qs, &scratch.counts, interval, threshold, out);
 }
 
-/// Reference implementation of [`build_scatter`]/[`build_scatter_throughput`]
-/// on top of the scan oracles — the equivalence baseline for property tests
-/// and the `estimation_pipeline` benchmark.
-#[cfg(any(test, feature = "reference-scan"))]
-pub fn build_scatter_scan(
-    concurrency: &ConcurrencyTracker,
-    completions: &CompletionLog,
-    from: SimTime,
-    to: SimTime,
-    interval: SimDuration,
-    threshold: Option<SimDuration>,
-) -> Vec<ScatterPoint> {
-    assert!(!interval.is_zero(), "sampling interval must be non-zero");
-    let qs = concurrency.bucket_averages_scan(from, to, interval);
-    let counts =
-        completions.bucket_counts_scan(from, to, interval, threshold.unwrap_or(SimDuration::MAX));
-    let mut out = Vec::new();
-    push_points(&qs, &counts, interval, threshold, &mut out);
-    out
-}
-
-fn push_points(
+/// Appends one point per non-empty bucket: `qs[i]` against bucket `i`'s
+/// good (`threshold = Some`) or total (`None`) completions per second.
+pub(crate) fn push_points(
     qs: &[f64],
     counts: &[(u64, u64)],
     interval: SimDuration,

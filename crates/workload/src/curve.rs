@@ -7,10 +7,10 @@ use sim_core::{SimDuration, SimTime};
 /// A trace shape scaled to an absolute peak over a run of fixed duration:
 /// `value_at(t) = peak × shape(t / duration)`.
 ///
-/// Depending on the generator, `peak` is interpreted as requests/second
-/// (open loop) or concurrent users (closed loop). The paper's experiments
-/// use 12-minute runs with 3 500 users (Sock Shop Cart) or 4 500 users
-/// (Social Network Read-HomeTimeline).
+/// The closed-loop [`UserPool`](crate::UserPool) reads `peak` as its
+/// maximum number of concurrent users. The paper's experiments use
+/// 12-minute runs with 3 500 users (Sock Shop Cart) or 4 500 users (Social
+/// Network Read-HomeTimeline).
 ///
 /// # Example
 ///
@@ -65,11 +65,6 @@ impl RateCurve {
         let frac = t.as_nanos() as f64 / self.duration.as_nanos() as f64;
         self.peak * self.shape.level_at(frac)
     }
-
-    /// An upper bound on the curve (used as the thinning majorant).
-    pub fn max_value(&self) -> f64 {
-        self.peak
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +81,7 @@ mod tests {
         let v = c.value_at(SimTime::from_secs(50));
         assert!((v - 1000.0).abs() < 1.0, "peak of the slow wave: {v}");
         assert!(c.value_at(SimTime::ZERO) < 500.0);
-        assert!(c.max_value() >= v);
+        assert!(c.peak() >= v);
     }
 
     #[test]

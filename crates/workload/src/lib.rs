@@ -9,14 +9,10 @@
 //!
 //! Those traces are characterised publicly by shape, not by raw samples, so
 //! this crate encodes each shape as a normalised load curve
-//! ([`TraceShape`]) and scales it with [`RateCurve`]. Two generators turn a
-//! curve into arrivals:
-//!
-//! * [`NhppArrivals`] — an open-loop non-homogeneous Poisson process
-//!   (thinning algorithm), matching the paper's "requests follow a Poisson
-//!   distribution" setup;
-//! * [`UserPool`] — a closed-loop RUBBoS-style user pool with think times,
-//!   whose population follows the trace curve.
+//! ([`TraceShape`]) and scales it with [`RateCurve`]. [`UserPool`], a
+//! closed-loop RUBBoS-style user pool with think times, turns a curve into
+//! arrivals: its population follows the trace curve, and [`RetryPolicy`]
+//! governs how its users retry dropped requests.
 //!
 //! [`Mix`] samples request types by weight, and supports mid-run mix
 //! switches (the §5.3 "request type change" state drift).
@@ -27,15 +23,11 @@
 mod closedloop;
 mod curve;
 mod mix;
-mod openloop;
-mod record;
 mod retry;
 mod shapes;
 
 pub use closedloop::{UserAction, UserPool};
 pub use curve::RateCurve;
 pub use mix::Mix;
-pub use openloop::NhppArrivals;
-pub use record::{ArrivalRecord, WorkloadTrace};
 pub use retry::{RetryPolicy, RetryStats};
 pub use shapes::TraceShape;

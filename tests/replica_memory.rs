@@ -1,15 +1,15 @@
-//! Per-replica build memory: a replica's telemetry rings are built on its
-//! first windowed read, not when the replica is created.
+//! Per-replica memory: building a world allocates no per-replica telemetry
+//! buffers, and a windowed read of a replica's samplers allocates nothing
+//! beyond its answer.
 //!
 //! A counting global allocator (through `sim_core::allocmeter`, as the
 //! `scale` bench installs it) measures what `ScenarioSpec::build` of a
-//! 500-service generated world allocates, then what one read of one
-//! replica allocates.
+//! 500-service generated world allocates, then what windowed reads of the
+//! replicas' samplers allocate after two simulated seconds of traffic.
 
-use microsim::WorldConfig;
 use sim_core::allocmeter::{self, AllocStats, Scope};
 use sim_core::{SimDuration, SimTime};
-use sora_bench::ScenarioSpec;
+use sora_bench::{BuiltScenario, ScenarioSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use telemetry::{ReplicaId, ServiceId};
 
@@ -42,27 +42,15 @@ const WIDE: &str = r#"{
     "seed": 5, "services": 500
 }"#;
 
-/// Bytes one ring allocates: one 8-byte slot per 10 ms of the 180 s
-/// `metrics_horizon`, plus 2 slots of slack (144 016 B).
-fn ring_bytes() -> u64 {
-    (WorldConfig::default().metrics_horizon.as_nanos() / 10_000_000 + 2) * 8
-}
-
 #[test]
-fn build_allocates_no_telemetry_rings_and_a_read_builds_one_replicas() {
+fn build_allocates_no_telemetry_buffers_and_windowed_reads_allocate_only_their_answer() {
     let spec = ScenarioSpec::parse(WIDE).expect("valid spec");
     let scope = Scope::begin();
     let built = spec.build();
     let build = scope.finish();
-    let world = &built.world;
-    let replicas: Vec<ReplicaId> = (0..world.service_count() as u32)
-        .flat_map(|s| world.all_replicas(ServiceId(s)).iter().copied())
-        .collect();
-    assert!(replicas.len() >= 500, "{} replicas", replicas.len());
 
     // Measured at 0.89 MB in 5 523 allocations; the 2 MB bound leaves
-    // 2.2× headroom, and 4 KB per replica. Two rings built with every
-    // replica would add 500 × 288 KB = 144 MB.
+    // 2.2× headroom, and 4 KB per replica.
     assert!(
         build.bytes < 2_000_000,
         "build allocated {} B in {} allocations",
@@ -70,48 +58,56 @@ fn build_allocates_no_telemetry_rings_and_a_read_builds_one_replicas() {
         build.count
     );
 
-    // One windowed read of one replica builds that replica's ring and no
-    // other: its allocations are one ring plus the 10-bucket answer.
-    let ring = ring_bytes();
-    let (from, to, width) = (
-        SimTime::ZERO,
-        SimTime::from_secs(1),
-        SimDuration::from_millis(100),
-    );
-    let averages = |pod: ReplicaId| {
-        let scope = Scope::begin();
-        let avgs = world
-            .concurrency_of(pod)
-            .unwrap()
-            .bucket_averages(from, to, width);
-        assert_eq!(avgs, vec![0.0; 10]);
-        scope.finish()
-    };
-    let counts = |pod: ReplicaId| {
-        let scope = Scope::begin();
-        let counts = world
-            .completions_of(pod)
-            .unwrap()
-            .bucket_counts(from, to, width, width);
-        assert_eq!(counts, vec![(0, 0); 10]);
-        scope.finish()
-    };
-    let reads: [&dyn Fn(ReplicaId) -> AllocStats; 2] = [&averages, &counts];
-    for read in reads {
-        let first = read(replicas[0]);
-        assert!(
-            (ring..ring + 1_000).contains(&first.bytes),
-            "first read: {first:?}, ring {ring} B"
-        );
-        let again = read(replicas[0]);
-        assert!(
-            again.bytes < 1_000,
-            "second read rebuilt the ring: {again:?}"
-        );
-        let other = read(replicas[1]);
-        assert!(
-            (ring..ring + 1_000).contains(&other.bytes),
-            "another replica's ring was built by the first read: {other:?}"
-        );
+    let BuiltScenario {
+        mut world,
+        scenario,
+        mut controller,
+    } = built;
+    let mut stepper = scenario.into_stepper();
+    let now = SimTime::from_secs(2);
+    stepper.step_until(&mut world, controller.as_mut(), now);
+    let busy: Vec<ReplicaId> = (0..world.service_count() as u32)
+        .flat_map(|s| world.all_replicas(ServiceId(s)).iter().copied())
+        .filter(|&pod| world.completions_of(pod).is_some_and(|log| !log.is_empty()))
+        .take(2)
+        .collect();
+    assert_eq!(busy.len(), 2, "two replicas completed requests by {now}");
+
+    let (from, width) = (SimTime::ZERO, SimDuration::from_millis(100));
+    // Scratch sized once for the window's 20 buckets, as a controller holds
+    // it across periods.
+    let (mut qs, mut counts) = (Vec::with_capacity(20), Vec::with_capacity(20));
+    for pod in busy {
+        let conc = world.concurrency_of(pod).unwrap();
+        let log = world.completions_of(pod).unwrap();
+        for read in ["first", "second"] {
+            let scope = Scope::begin();
+            let avgs = conc.bucket_averages(from, now, width);
+            let buckets = log.bucket_counts(from, now, width, width);
+            let stats = scope.finish();
+            assert!(avgs.iter().any(|&q| q > 0.0) && buckets.iter().any(|&(n, _)| n > 0));
+            let answers =
+                avgs.capacity() * size_of::<f64>() + buckets.capacity() * size_of::<(u64, u64)>();
+            assert_eq!(
+                (stats.count, stats.bytes),
+                (2, answers as u64),
+                "{read} reads of {pod:?} allocated more than their {answers} B of answers"
+            );
+
+            // Into reused buffers, and the whole-window reads: nothing.
+            let scope = Scope::begin();
+            conc.bucket_averages_into(from, now, width, &mut qs);
+            log.bucket_counts_into(from, now, width, width, &mut counts);
+            let q = conc.average_in(from, now);
+            let n = log.count_in(from, now) + log.goodput_in(from, now, width);
+            let stats = scope.finish();
+            assert_eq!((&qs, &counts), (&avgs, &buckets));
+            assert!(q > 0.0 && n > 0);
+            assert_eq!(
+                stats,
+                AllocStats::default(),
+                "{read} reads of {pod:?} into reused buffers allocated"
+            );
+        }
     }
 }
