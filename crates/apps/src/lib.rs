@@ -22,6 +22,6 @@ mod runner;
 mod social_network;
 mod sock_shop;
 
-pub use runner::{RunResult, SampleRow, Scenario, ScenarioConfig, ScenarioStepper, Summary, Watch};
+pub use runner::{RunResult, SampleRow, Scenario, ScenarioStepper, Summary, Watch};
 pub use social_network::{SocialNetwork, SocialNetworkParams};
 pub use sock_shop::{SockShop, SockShopParams};

@@ -19,27 +19,13 @@ pub struct Watch {
     pub conns: Option<(ServiceId, ServiceId)>,
 }
 
-/// Runner configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioConfig {
-    /// Controller invocation period (Kubernetes' default control grid is
-    /// 15 s, which the paper adopts).
-    pub control_period: SimDuration,
-    /// Gauge sampling period (1 s in the paper's timeline figures).
-    pub sample_period: SimDuration,
-    /// Goodput threshold used in reports (e.g. 400 ms in Table 2).
-    pub report_rtt: SimDuration,
-}
+/// Controller invocation period: Kubernetes' default 15 s control grid,
+/// which the paper adopts (§4.1).
+const CONTROL_PERIOD: SimDuration = SimDuration::from_secs(15);
 
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            control_period: SimDuration::from_secs(15),
-            sample_period: SimDuration::from_secs(1),
-            report_rtt: SimDuration::from_millis(400),
-        }
-    }
-}
+/// Gauge sampling period: the 1 s resolution of the paper's timeline
+/// figures (Figs. 10–12).
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// One gauge sample (a row of the timeline panels).
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -100,12 +86,13 @@ pub struct RunResult {
 }
 
 /// Drives a closed-loop [`UserPool`] against a world, invoking `controller`
-/// on the control grid and sampling gauges on the sample grid.
+/// on the 15 s control grid and sampling gauges every second.
 ///
 /// The request mix can change mid-run (`mix_schedule`: `(from, mix)` pairs,
 /// later entries override earlier ones) — the §5.3 request-type drift.
 pub struct Scenario {
-    config: ScenarioConfig,
+    /// Goodput threshold used in reports (e.g. 400 ms in Table 2).
+    report_rtt: SimDuration,
     pool: UserPool,
     mix_schedule: Vec<(SimTime, Mix)>,
     watch: Watch,
@@ -113,10 +100,11 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Creates a scenario with a single, constant request mix.
-    pub fn new(config: ScenarioConfig, pool: UserPool, mix: Mix, watch: Watch) -> Self {
+    /// Creates a scenario with a single, constant request mix, reporting
+    /// goodput within `report_rtt`.
+    pub fn new(report_rtt: SimDuration, pool: UserPool, mix: Mix, watch: Watch) -> Self {
         Scenario {
-            config,
+            report_rtt,
             pool,
             mix_schedule: vec![(SimTime::ZERO, mix)],
             watch,
@@ -136,10 +124,8 @@ impl Scenario {
     /// [`SimTime::MAX`] and finishing is operation-for-operation identical
     /// to [`Scenario::run`].
     pub fn into_stepper(self) -> ScenarioStepper {
-        let next_sample = self.config.sample_period;
-        let next_control = self.config.control_period;
         ScenarioStepper {
-            config: self.config,
+            report_rtt: self.report_rtt,
             pool: self.pool,
             mix_schedule: self.mix_schedule,
             watch: self.watch,
@@ -147,8 +133,8 @@ impl Scenario {
             rng: sim_core::SimRng::seed_from(0xC0FFEE),
             user_of: HashMap::new(),
             timeline: Vec::new(),
-            next_sample,
-            next_control,
+            next_sample: SAMPLE_PERIOD,
+            next_control: CONTROL_PERIOD,
             now: SimTime::ZERO,
             workload_done: false,
             done_scratch: Vec::new(),
@@ -186,7 +172,7 @@ fn mix_at(schedule: &[(SimTime, Mix)], t: SimTime) -> &Mix {
 /// [`step_until`]: ScenarioStepper::step_until
 /// [`finish`]: ScenarioStepper::finish
 pub struct ScenarioStepper {
-    config: ScenarioConfig,
+    report_rtt: SimDuration,
     pool: UserPool,
     mix_schedule: Vec<(SimTime, Mix)>,
     watch: Watch,
@@ -224,7 +210,7 @@ impl ScenarioStepper {
 
     /// The goodput threshold the scenario reports against.
     pub fn report_rtt(&self) -> SimDuration {
-        self.config.report_rtt
+        self.report_rtt
     }
 
     /// Advances the run until the workload clock reaches `target` (or the
@@ -250,12 +236,12 @@ impl ScenarioStepper {
                 self.handle_done(world);
                 if SimTime::ZERO + self.next_control == tick {
                     controller.control(world, tick);
-                    self.next_control += self.config.control_period;
+                    self.next_control += CONTROL_PERIOD;
                 }
                 if SimTime::ZERO + self.next_sample == tick {
                     let row = self.sample(world, tick);
                     self.timeline.push(row);
-                    self.next_sample += self.config.sample_period;
+                    self.next_sample += SAMPLE_PERIOD;
                 }
                 continue;
             }
@@ -326,7 +312,7 @@ impl ScenarioStepper {
         let client = world.client();
         let run_end = self.now;
         let goodput_timeline: Vec<(f64, f64)> = client
-            .goodput_timeline(self.config.report_rtt)
+            .goodput_timeline(self.report_rtt)
             .into_iter()
             .filter(|&(t, _)| t < run_end)
             .map(|(t, v)| (t.as_secs_f64(), v))
@@ -347,7 +333,7 @@ impl ScenarioStepper {
             p95_ms: client.percentile(95.0).map_or(0.0, |d| d.as_millis_f64()),
             p99_ms: client.percentile(99.0).map_or(0.0, |d| d.as_millis_f64()),
             goodput_rps: if run_end > SimTime::ZERO {
-                client.goodput_rate(SimTime::ZERO, run_end, self.config.report_rtt)
+                client.goodput_rate(SimTime::ZERO, run_end, self.report_rtt)
             } else {
                 0.0
             },
@@ -416,15 +402,7 @@ mod tests {
             conns: None,
         };
         let mix = Mix::single(shop.get_cart);
-        let sc = Scenario::new(
-            ScenarioConfig {
-                report_rtt: SimDuration::from_millis(400),
-                ..Default::default()
-            },
-            pool,
-            mix,
-            watch,
-        );
+        let sc = Scenario::new(SimDuration::from_millis(400), pool, mix, watch);
         (shop, sc)
     }
 
@@ -539,7 +517,7 @@ mod tests {
             conns: Some((shop.catalogue, shop.catalogue_db)),
         };
         let sc = Scenario::new(
-            ScenarioConfig::default(),
+            SimDuration::from_millis(400),
             pool,
             Mix::single(shop.get_catalogue),
             watch,

@@ -2,55 +2,26 @@
 
 use cluster::Millicores;
 use microsim::World;
-use scg::LocalizeConfig;
 use sim_core::{SimDuration, SimTime};
 use sora_core::{Controller, Monitor};
 use telemetry::ServiceId;
 
-/// FIRM-style manager tuning.
-#[derive(Debug, Clone)]
-pub struct FirmConfig {
-    /// Services under management (candidates for reprovisioning).
-    pub services: Vec<ServiceId>,
-    /// Localisation policy for picking the critical instance.
-    pub localize: LocalizeConfig,
-    /// Scale the critical service up when its utilisation exceeds this.
-    pub high_utilization: f64,
-    /// Also scale the critical service up when its span p99 exceeds this
-    /// many milliseconds (FIRM's SLO-violation trigger); `None` disables
-    /// the latency trigger.
-    pub slo_p99_ms: Option<f64>,
-    /// Scale a managed service down when its utilisation falls below this.
-    pub low_utilization: f64,
-    /// CPU floor per pod.
-    pub min_limit: Millicores,
-    /// CPU ceiling per pod.
-    pub max_limit: Millicores,
-    /// Reprovisioning quantum.
-    pub step: Millicores,
-    /// Trace-analysis window.
-    pub window: SimDuration,
-    /// Minimum time between scale-downs of the same service (scale-ups are
-    /// immediate — FIRM reacts fast to SLO violations).
-    pub scale_down_cooldown: SimDuration,
-}
-
-impl Default for FirmConfig {
-    fn default() -> Self {
-        FirmConfig {
-            services: Vec::new(),
-            localize: LocalizeConfig::default(),
-            high_utilization: 0.75,
-            slo_p99_ms: None,
-            low_utilization: 0.3,
-            min_limit: Millicores::from_cores(1),
-            max_limit: Millicores::from_cores(4),
-            step: Millicores::from_cores(1),
-            window: SimDuration::from_secs(60),
-            scale_down_cooldown: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Scale the critical service up when its utilisation exceeds this
+/// (DESIGN §7).
+const HIGH_UTILIZATION: f64 = 0.75;
+/// Scale a managed service down when its utilisation falls below this
+/// (DESIGN §7).
+const LOW_UTILIZATION: f64 = 0.3;
+/// CPU floor per pod (DESIGN §7).
+const MIN_LIMIT: Millicores = Millicores::from_cores(1);
+/// CPU ceiling per pod: 4 cores, the Cart's largest limit in the paper's
+/// Figs. 3 and 10 (DESIGN §7).
+const MAX_LIMIT: Millicores = Millicores::from_cores(4);
+/// Reprovisioning quantum: one core per control period (DESIGN §7).
+const STEP: Millicores = Millicores::from_cores(1);
+/// Minimum time between scale-downs of the same service; scale-ups are
+/// immediate, since FIRM reacts fast to SLO violations (DESIGN §7).
+const SCALE_DOWN_COOLDOWN: SimDuration = SimDuration::from_secs(60);
 
 /// A deterministic rendition of FIRM's hardware-management loop
 /// (OSDI '20): localise the critical microservice instance from traces
@@ -61,7 +32,8 @@ impl Default for FirmConfig {
 /// CPU, but never re-adapts thread or connection pools, so pools sized for
 /// the old limit become a bottleneck after scale-up (Fig. 10a).
 pub struct FirmController {
-    config: FirmConfig,
+    /// Services under management (candidates for reprovisioning).
+    services: Vec<ServiceId>,
     monitor: Monitor,
     last_scale_down: std::collections::BTreeMap<ServiceId, SimTime>,
     /// Log of `(time, service, new limit)` scaling actions.
@@ -69,12 +41,12 @@ pub struct FirmController {
 }
 
 impl FirmController {
-    /// Creates a FIRM-style manager.
-    pub fn new(config: FirmConfig) -> Self {
-        let monitor = Monitor::new(config.window);
+    /// Creates a FIRM-style manager of `services`, reading the same 60 s
+    /// trace window as Sora.
+    pub fn new(services: Vec<ServiceId>) -> Self {
         FirmController {
-            config,
-            monitor,
+            services,
+            monitor: Monitor::new(),
             last_scale_down: Default::default(),
             actions: Vec::new(),
         }
@@ -90,19 +62,12 @@ impl Controller for FirmController {
     fn control(&mut self, world: &mut World, now: SimTime) {
         let obs = self.monitor.observe(world, now);
         // Scale *up* the critical service when it runs hot.
-        if let Some(critical) = obs.critical_service(&self.config.localize) {
-            if self.config.services.contains(&critical) {
+        if let Some(critical) = obs.critical_service() {
+            if self.services.contains(&critical) {
                 let util = obs.utilization.get(&critical).copied().unwrap_or(0.0);
-                let slo_violated = self
-                    .config
-                    .slo_p99_ms
-                    .zip(world.span_p99_ms(critical))
-                    .is_some_and(|(slo, p99)| p99 > slo);
                 let current = world.cpu_limit(critical);
-                if (util > self.config.high_utilization || slo_violated)
-                    && current < self.config.max_limit
-                {
-                    let desired = (current + self.config.step).min(self.config.max_limit);
+                if util > HIGH_UTILIZATION && current < MAX_LIMIT {
+                    let desired = (current + STEP).min(MAX_LIMIT);
                     if world.set_cpu_limit(critical, desired).is_ok() {
                         self.actions.push((now, critical, desired));
                     }
@@ -111,17 +76,15 @@ impl Controller for FirmController {
         }
         // Scale *down* idle managed services (reclaiming over-provisioning,
         // FIRM's resource-efficiency objective).
-        for &service in &self.config.services {
+        for &service in &self.services {
             let util = obs.utilization.get(&service).copied().unwrap_or(0.0);
             let current = world.cpu_limit(service);
             let cooled = self
                 .last_scale_down
                 .get(&service)
-                .is_none_or(|&t| now.saturating_since(t) >= self.config.scale_down_cooldown);
-            if util < self.config.low_utilization && current > self.config.min_limit && cooled {
-                let desired = current
-                    .saturating_sub(self.config.step)
-                    .max(self.config.min_limit);
+                .is_none_or(|&t| now.saturating_since(t) >= SCALE_DOWN_COOLDOWN);
+            if util < LOW_UTILIZATION && current > MIN_LIMIT && cooled {
+                let desired = current.saturating_sub(STEP).max(MIN_LIMIT);
                 if world.set_cpu_limit(service, desired).is_ok() {
                     self.last_scale_down.insert(service, now);
                     self.actions.push((now, service, desired));
@@ -199,14 +162,7 @@ mod tests {
     #[test]
     fn scales_up_the_critical_service_only() {
         let (mut w, front, worker, rt) = world();
-        let mut firm = FirmController::new(FirmConfig {
-            services: vec![front, worker],
-            localize: LocalizeConfig {
-                min_on_path: 10,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
+        let mut firm = FirmController::new(vec![front, worker]);
         drive(&mut w, rt, &mut firm, 90, 3); // ρ ≈ 1.4 at the worker
         assert!(
             w.cpu_limit(worker) >= Millicores::from_cores(2),
@@ -223,16 +179,10 @@ mod tests {
     fn reclaims_idle_capacity() {
         let (mut w, front, worker, rt) = world();
         w.set_cpu_limit(worker, Millicores::from_cores(4)).unwrap();
-        let mut firm = FirmController::new(FirmConfig {
-            services: vec![front, worker],
-            localize: LocalizeConfig {
-                min_on_path: 10,
-                ..Default::default()
-            },
-            scale_down_cooldown: SimDuration::from_secs(15),
-            ..Default::default()
-        });
-        drive(&mut w, rt, &mut firm, 120, 0); // fully idle
+        let mut firm = FirmController::new(vec![front, worker]);
+        // Fully idle: 4 → 3 → 2 → 1 cores at 15, 75 and 135 s, one step
+        // per 60 s cooldown.
+        drive(&mut w, rt, &mut firm, 135, 0);
         assert_eq!(
             w.cpu_limit(worker),
             Millicores::from_cores(1),
@@ -243,73 +193,8 @@ mod tests {
     #[test]
     fn never_exceeds_the_ceiling() {
         let (mut w, front, worker, rt) = world();
-        let mut firm = FirmController::new(FirmConfig {
-            services: vec![front, worker],
-            localize: LocalizeConfig {
-                min_on_path: 10,
-                ..Default::default()
-            },
-            max_limit: Millicores::from_cores(2),
-            ..Default::default()
-        });
+        let mut firm = FirmController::new(vec![front, worker]);
         drive(&mut w, rt, &mut firm, 150, 1); // massive overload
-        assert!(w.cpu_limit(worker) <= Millicores::from_cores(2));
-    }
-}
-// (tests continue below)
-#[cfg(test)]
-mod slo_tests {
-    use super::*;
-    use microsim::{Behavior, ServiceSpec, WorldConfig};
-    use sim_core::{Dist, SimRng};
-    use telemetry::RequestTypeId;
-
-    /// The latency trigger fires even while CPU utilisation looks moderate:
-    /// a 1-core worker at ~60 % utilisation whose p99 breaches the SLO.
-    #[test]
-    fn slo_trigger_scales_up_without_high_utilization() {
-        let cfg = WorldConfig {
-            net_delay: Dist::constant_us(0),
-            replica_startup: Dist::constant_us(0),
-            ..WorldConfig::default()
-        };
-        let mut w = microsim::World::new(cfg, SimRng::seed_from(8));
-        let rt = RequestTypeId(0);
-        let svc = w.add_service(
-            ServiceSpec::new("worker")
-                .cpu(cluster::Millicores::from_cores(1))
-                .threads(1) // queueing inflates p99 while CPU idles between bursts
-                .on(rt, Behavior::leaf(Dist::constant_ms(30))),
-        );
-        let rt = w.add_request_type("r", svc);
-        let pod = w.add_replica(svc).unwrap();
-        w.make_ready(pod);
-        let mut firm = FirmController::new(FirmConfig {
-            services: vec![svc],
-            localize: LocalizeConfig {
-                min_on_path: 10,
-                ..Default::default()
-            },
-            high_utilization: 0.99, // CPU trigger effectively off
-            slo_p99_ms: Some(50.0),
-            ..Default::default()
-        });
-        // Bursts of 3 every 100 ms: CPU ~90 %, but the 1-thread queue pushes
-        // the third request of each burst to ~90 ms.
-        for burst in 0..600u64 {
-            for _ in 0..3 {
-                w.inject_at(sim_core::SimTime::from_millis(burst * 100), rt);
-            }
-        }
-        for tick in 1..=4u64 {
-            w.run_until(sim_core::SimTime::from_secs(tick * 15));
-            firm.control(&mut w, sim_core::SimTime::from_secs(tick * 15));
-        }
-        assert!(
-            w.cpu_limit(svc) > cluster::Millicores::from_cores(1),
-            "p99 breach must scale the service up: limit {}",
-            w.cpu_limit(svc)
-        );
-        assert!(w.span_p99_ms(svc).unwrap() > 50.0);
+        assert_eq!(w.cpu_limit(worker), MAX_LIMIT);
     }
 }

@@ -5,33 +5,16 @@ use sim_core::{SimDuration, SimTime};
 use sora_core::{Controller, UtilizationProbe};
 use telemetry::ServiceId;
 
-/// HPA tuning, mirroring the upstream defaults the paper configures
-/// (scale at 80 % CPU; 15 s control period is supplied by the runner).
-#[derive(Debug, Clone, Copy)]
-pub struct HpaConfig {
-    /// Target mean CPU utilisation (0..1); the paper's rule is
-    /// "Pod CPU utilisation > 80 %".
-    pub target_utilization: f64,
-    /// Replica floor.
-    pub min_replicas: usize,
-    /// Replica ceiling.
-    pub max_replicas: usize,
-    /// Scale-*down* stabilisation: act on the maximum desired replica
-    /// count seen over this trailing window (kubernetes defaults to 5 min;
-    /// the paper's 12-minute runs warrant a tighter 60 s).
-    pub stabilization: SimDuration,
-}
-
-impl Default for HpaConfig {
-    fn default() -> Self {
-        HpaConfig {
-            target_utilization: 0.8,
-            min_replicas: 1,
-            max_replicas: 8,
-            stabilization: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Target mean CPU utilisation: the paper's HPA rule is "Pod CPU
+/// utilisation > 80 %" (DESIGN §7); the 15 s control period is supplied by
+/// the runner.
+const TARGET_UTILIZATION: f64 = 0.8;
+/// Replica floor (DESIGN §7).
+const MIN_REPLICAS: usize = 1;
+/// Scale-*down* stabilisation: act on the maximum desired replica count
+/// seen over this trailing window. Kubernetes defaults to 5 min; the
+/// paper's 12-minute runs warrant a tighter 60 s (DESIGN §7).
+const STABILIZATION: SimDuration = SimDuration::from_secs(60);
 
 /// The Kubernetes HPA algorithm for one service:
 /// `desired = ceil(ready × utilisation / target)`, scaling out
@@ -40,18 +23,19 @@ impl Default for HpaConfig {
 #[derive(Debug, Clone)]
 pub struct HpaController {
     service: ServiceId,
-    config: HpaConfig,
+    /// Replica ceiling.
+    max_replicas: usize,
     probe: UtilizationProbe,
     /// Trailing `(time, desired)` recommendations for stabilisation.
     history: Vec<(SimTime, usize)>,
 }
 
 impl HpaController {
-    /// Creates an HPA managing `service`.
-    pub fn new(service: ServiceId, config: HpaConfig) -> Self {
+    /// Creates an HPA managing `service` with at most `max_replicas` pods.
+    pub fn new(service: ServiceId, max_replicas: usize) -> Self {
         HpaController {
             service,
-            config,
+            max_replicas,
             probe: UtilizationProbe::new(),
             history: Vec::new(),
         }
@@ -65,7 +49,7 @@ impl HpaController {
     /// Raw (unclamped) recommendation `ceil(ready × util / target)`, or
     /// `None` when it is undefined: no ready replicas, or a non-finite
     /// utilisation reading (probe with no samples). A NaN used to flow
-    /// through `ceil() as usize` into `0`, clamp to `min_replicas`, and
+    /// through `ceil() as usize` into `0`, clamp to the replica floor, and
     /// poison the stabilisation history with a bogus scale-to-minimum
     /// recommendation; now the control period is skipped instead.
     fn raw_desired(ready: usize, util: f64, target: f64) -> Option<usize> {
@@ -76,14 +60,14 @@ impl HpaController {
     }
 
     /// Start (inclusive) of the stabilisation window at `now`: a
-    /// recommendation exactly `stabilization` old is still binding, and
-    /// during the startup phase (`now < stabilization`) the window spans
+    /// recommendation exactly `STABILIZATION` old is still binding, and
+    /// during the startup phase (`now < STABILIZATION`) the window spans
     /// the whole run.
-    fn keep_from(now: SimTime, stabilization: SimDuration) -> SimTime {
+    fn keep_from(now: SimTime) -> SimTime {
         SimTime::ZERO
             + now
                 .saturating_since(SimTime::ZERO)
-                .saturating_sub_or_zero(stabilization)
+                .saturating_sub_or_zero(STABILIZATION)
     }
 }
 
@@ -91,12 +75,12 @@ impl Controller for HpaController {
     fn control(&mut self, world: &mut World, now: SimTime) {
         let util = self.probe.read(world, self.service, now);
         let ready = world.ready_replicas(self.service).len();
-        let Some(raw) = Self::raw_desired(ready, util, self.config.target_utilization) else {
+        let Some(raw) = Self::raw_desired(ready, util, TARGET_UTILIZATION) else {
             return; // nothing ready yet, or no usable utilisation sample
         };
-        let desired = raw.clamp(self.config.min_replicas, self.config.max_replicas);
+        let desired = raw.clamp(MIN_REPLICAS, self.max_replicas);
         self.history.push((now, desired));
-        let keep_from = Self::keep_from(now, self.config.stabilization);
+        let keep_from = Self::keep_from(now);
         self.history.retain(|&(t, _)| t >= keep_from);
 
         // Include replicas still starting so we don't over-provision while
@@ -116,13 +100,10 @@ impl Controller for HpaController {
                 .map(|&(_, d)| d)
                 .max()
                 .unwrap_or(desired)
-                .max(self.config.min_replicas);
+                .max(MIN_REPLICAS);
             let mut excess = live.saturating_sub(floor);
             while excess > 0 {
-                if world
-                    .drain_replica(self.service, self.config.min_replicas)
-                    .is_none()
-                {
+                if world.drain_replica(self.service, MIN_REPLICAS).is_none() {
                     break;
                 }
                 excess -= 1;
@@ -166,7 +147,8 @@ mod tests {
         (w, svc, rt)
     }
 
-    /// Drives load and HPA together; returns ready-replica counts per tick.
+    /// Drives load and HPA together for `secs` from the world's clock;
+    /// returns ready-replica counts per tick.
     fn drive(
         w: &mut World,
         rt: RequestTypeId,
@@ -175,9 +157,10 @@ mod tests {
         gap_ms: u64,
     ) -> Vec<usize> {
         let mut counts = Vec::new();
-        let mut at = 0u64;
+        let start = w.now().as_millis();
+        let mut at = start;
         for tick in 1..=secs {
-            let end = tick * 1000;
+            let end = start + tick * 1000;
             if gap_ms > 0 {
                 while at < end {
                     at += gap_ms;
@@ -196,13 +179,7 @@ mod tests {
     #[test]
     fn scales_out_under_load_and_in_after_idle() {
         let (mut w, svc, rt) = world();
-        let mut hpa = HpaController::new(
-            svc,
-            HpaConfig {
-                stabilization: SimDuration::from_secs(30),
-                ..Default::default()
-            },
-        );
+        let mut hpa = HpaController::new(svc, 8);
         // 4 ms demand every 3 ms ⇒ ρ ≈ 1.3 on one core: must scale out.
         let counts = drive(&mut w, rt, &mut hpa, 120, 3);
         let peak = *counts.iter().max().unwrap();
@@ -211,28 +188,22 @@ mod tests {
         let counts = drive(&mut w, rt, &mut hpa, 180, 0);
         assert_eq!(
             *counts.last().unwrap(),
-            1,
-            "idle system drains to min_replicas"
+            MIN_REPLICAS,
+            "idle system drains to the replica floor"
         );
     }
 
     #[test]
     fn respects_max_replicas() {
         let (mut w, svc, rt) = world();
-        let mut hpa = HpaController::new(
-            svc,
-            HpaConfig {
-                max_replicas: 2,
-                ..Default::default()
-            },
-        );
+        let mut hpa = HpaController::new(svc, 2);
         let counts = drive(&mut w, rt, &mut hpa, 120, 1); // heavy overload
         assert!(counts.iter().all(|&c| c <= 2));
         assert_eq!(*counts.last().unwrap(), 2);
     }
 
     /// Regression: a NaN utilisation reading used to become `raw = 0` (via
-    /// `NaN.ceil() as usize`), clamp to `min_replicas`, and enter the
+    /// `NaN.ceil() as usize`), clamp to the replica floor, and enter the
     /// stabilisation history as a spurious scale-to-minimum vote. The
     /// control period is now skipped instead.
     #[test]
@@ -247,64 +218,50 @@ mod tests {
         assert_eq!(HpaController::raw_desired(2, -0.5, 0.8), Some(0));
     }
 
-    /// Boundary: during the startup phase (`now < stabilization`) nothing
-    /// is pruned, and a recommendation exactly `stabilization` old is
-    /// retained (inclusive window edge) while anything older is dropped.
+    /// Boundary: during the startup phase (`now < STABILIZATION`) nothing
+    /// is pruned, and a recommendation exactly `STABILIZATION` (60 s) old
+    /// is retained (inclusive window edge) while anything older is dropped.
     #[test]
     fn stabilization_window_edges_are_inclusive_and_startup_safe() {
-        let stab = SimDuration::from_secs(30);
         // Startup phase: the window clamps to the run start.
         assert_eq!(
-            HpaController::keep_from(SimTime::from_secs(10), stab),
+            HpaController::keep_from(SimTime::from_secs(10)),
             SimTime::ZERO
         );
         assert_eq!(
-            HpaController::keep_from(SimTime::from_secs(30), stab),
+            HpaController::keep_from(SimTime::from_secs(60)),
             SimTime::ZERO
         );
-        // Steady state: entries exactly `stabilization` old sit on the
-        // inclusive edge.
+        // Steady state: entries exactly 60 s old sit on the inclusive edge.
         assert_eq!(
-            HpaController::keep_from(SimTime::from_secs(40), stab),
+            HpaController::keep_from(SimTime::from_secs(70)),
             SimTime::from_secs(10)
         );
 
         // End-to-end through control(): an idle world yields finite (zero)
         // utilisation, so every period records a recommendation.
         let (mut w, svc, _rt) = world();
-        let mut hpa = HpaController::new(
-            svc,
-            HpaConfig {
-                stabilization: stab,
-                ..Default::default()
-            },
-        );
-        for secs in [10u64, 20, 30] {
+        let mut hpa = HpaController::new(svc, 8);
+        for secs in [10u64, 20, 30, 40, 50, 60] {
             w.run_until(SimTime::from_secs(secs));
             hpa.control(&mut w, SimTime::from_secs(secs));
         }
-        assert_eq!(hpa.history.len(), 3, "startup phase must not prune");
-        // At t = 40 s the t = 10 s entry is exactly 30 s old: retained.
-        w.run_until(SimTime::from_secs(40));
-        hpa.control(&mut w, SimTime::from_secs(40));
-        assert_eq!(hpa.history.len(), 4, "edge entry is inside the window");
+        assert_eq!(hpa.history.len(), 6, "startup phase must not prune");
+        // At t = 70 s the t = 10 s entry is exactly 60 s old: retained.
+        w.run_until(SimTime::from_secs(70));
+        hpa.control(&mut w, SimTime::from_secs(70));
+        assert_eq!(hpa.history.len(), 7, "edge entry is inside the window");
         assert_eq!(hpa.history[0].0, SimTime::from_secs(10));
-        // At t = 45 s it is 35 s old: pruned (along with nothing else).
-        w.run_until(SimTime::from_secs(45));
-        hpa.control(&mut w, SimTime::from_secs(45));
+        // At t = 75 s it is 65 s old: pruned (along with nothing else).
+        w.run_until(SimTime::from_secs(75));
+        hpa.control(&mut w, SimTime::from_secs(75));
         assert_eq!(hpa.history[0].0, SimTime::from_secs(20));
     }
 
     #[test]
     fn stabilization_delays_scale_in() {
         let (mut w, svc, rt) = world();
-        let mut hpa = HpaController::new(
-            svc,
-            HpaConfig {
-                stabilization: SimDuration::from_secs(120),
-                ..Default::default()
-            },
-        );
+        let mut hpa = HpaController::new(svc, 8);
         drive(&mut w, rt, &mut hpa, 120, 3); // scale out
         let after_burst = w.ready_replicas(svc).len();
         assert!(after_burst >= 2);

@@ -26,6 +26,6 @@ mod firm;
 mod hpa;
 mod vpa;
 
-pub use firm::{FirmConfig, FirmController};
-pub use hpa::{HpaConfig, HpaController};
-pub use vpa::{VpaConfig, VpaController};
+pub use firm::FirmController;
+pub use hpa::HpaController;
+pub use vpa::VpaController;

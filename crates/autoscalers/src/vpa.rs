@@ -6,36 +6,20 @@ use sim_core::{SimDuration, SimTime};
 use sora_core::{Controller, UtilizationProbe};
 use telemetry::ServiceId;
 
-/// VPA tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct VpaConfig {
-    /// Grow the limit when utilisation exceeds this.
-    pub high_utilization: f64,
-    /// Shrink the limit when utilisation falls below this.
-    pub low_utilization: f64,
-    /// Smallest allowed per-pod limit.
-    pub min_limit: Millicores,
-    /// Largest allowed per-pod limit.
-    pub max_limit: Millicores,
-    /// Resize quantum (limits move in whole steps, like recommender
-    /// buckets).
-    pub step: Millicores,
-    /// Minimum time between resizes.
-    pub cooldown: SimDuration,
-}
-
-impl Default for VpaConfig {
-    fn default() -> Self {
-        VpaConfig {
-            high_utilization: 0.8,
-            low_utilization: 0.3,
-            min_limit: Millicores::from_cores(1),
-            max_limit: Millicores::from_cores(4),
-            step: Millicores::from_cores(1),
-            cooldown: SimDuration::from_secs(30),
-        }
-    }
-}
+/// Grow the limit when utilisation exceeds this: the paper's 80 % HPA rule
+/// (DESIGN §7).
+const HIGH_UTILIZATION: f64 = 0.8;
+/// Shrink the limit when utilisation falls below this (DESIGN §7).
+const LOW_UTILIZATION: f64 = 0.3;
+/// Smallest allowed per-pod limit (DESIGN §7).
+const MIN_LIMIT: Millicores = Millicores::from_cores(1);
+/// Largest allowed per-pod limit: 4 cores, as FIRM's ceiling (DESIGN §7).
+const MAX_LIMIT: Millicores = Millicores::from_cores(4);
+/// Resize quantum: limits move in whole cores, like recommender buckets
+/// (DESIGN §7).
+const STEP: Millicores = Millicores::from_cores(1);
+/// Minimum time between resizes: two 15 s control periods (DESIGN §7).
+const COOLDOWN: SimDuration = SimDuration::from_secs(30);
 
 /// Rule-based vertical scaling of one service's CPU limit: step the limit
 /// up when the pods run hot, step it down when they idle. This is the
@@ -44,17 +28,15 @@ impl Default for VpaConfig {
 #[derive(Debug, Clone)]
 pub struct VpaController {
     service: ServiceId,
-    config: VpaConfig,
     probe: UtilizationProbe,
     last_resize: Option<SimTime>,
 }
 
 impl VpaController {
     /// Creates a VPA managing `service`.
-    pub fn new(service: ServiceId, config: VpaConfig) -> Self {
+    pub fn new(service: ServiceId) -> Self {
         VpaController {
             service,
-            config,
             probe: UtilizationProbe::new(),
             last_resize: None,
         }
@@ -67,7 +49,7 @@ impl VpaController {
 
     fn cooled_down(&self, now: SimTime) -> bool {
         self.last_resize
-            .is_none_or(|t| now.saturating_since(t) >= self.config.cooldown)
+            .is_none_or(|t| now.saturating_since(t) >= COOLDOWN)
     }
 }
 
@@ -78,12 +60,10 @@ impl Controller for VpaController {
             return;
         }
         let current = world.cpu_limit(self.service);
-        let desired = if util > self.config.high_utilization {
-            (current + self.config.step).min(self.config.max_limit)
-        } else if util < self.config.low_utilization {
-            current
-                .saturating_sub(self.config.step)
-                .max(self.config.min_limit)
+        let desired = if util > HIGH_UTILIZATION {
+            (current + STEP).min(MAX_LIMIT)
+        } else if util < LOW_UTILIZATION {
+            current.saturating_sub(STEP).max(MIN_LIMIT)
         } else {
             current
         };
@@ -148,13 +128,7 @@ mod tests {
     #[test]
     fn grows_limit_under_load_and_shrinks_when_idle() {
         let (mut w, svc, rt) = world();
-        let mut vpa = VpaController::new(
-            svc,
-            VpaConfig {
-                cooldown: SimDuration::from_secs(15),
-                ..Default::default()
-            },
-        );
+        let mut vpa = VpaController::new(svc);
         drive(&mut w, rt, &mut vpa, 90, 3); // ρ ≈ 1.3 on 1 core
         let hot = w.cpu_limit(svc);
         assert!(hot >= Millicores::from_cores(2), "limit should grow: {hot}");
@@ -169,14 +143,11 @@ mod tests {
     #[test]
     fn honours_bounds_and_cooldown() {
         let (mut w, svc, rt) = world();
-        let cfg = VpaConfig {
-            max_limit: Millicores::from_cores(2),
-            cooldown: SimDuration::from_secs(3_600), // effectively one resize
-            ..Default::default()
-        };
-        let mut vpa = VpaController::new(svc, cfg);
-        drive(&mut w, rt, &mut vpa, 120, 1);
-        // One step only (cooldown), and within the 2-core cap.
-        assert_eq!(w.cpu_limit(svc), Millicores::from_cores(2));
+        let mut vpa = VpaController::new(svc);
+        // ρ ≈ 4 on 1 core: one step per 30 s cooldown (at 15, 45 and 75 s,
+        // skipping the ticks in between), then the 4-core cap holds.
+        drive(&mut w, rt, &mut vpa, 150, 1);
+        assert_eq!(w.cpu_limit(svc), MAX_LIMIT);
+        assert_eq!(vpa.last_resize, Some(t(75_000)));
     }
 }

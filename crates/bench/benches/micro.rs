@@ -169,11 +169,9 @@ fn loaded_warehouse(n: u64) -> TraceWarehouse {
     let mut w = TraceWarehouse::new(SimDuration::from_secs(600), 1);
     for i in 0..n {
         let mut t = chain_trace(i);
-        // Spread completions across the minute and touch services 0..8 so
-        // `iter_touching` sees both matching and non-matching traces.
+        // Spread completions across the minute.
         let done = SimTime::from_millis(i * 60_000 / n.max(1) + 30);
         t.spans[0].departure = done;
-        t.spans[1].service = ServiceId((i % 8) as u32 + 1);
         w.push(t);
     }
     w
@@ -184,14 +182,6 @@ fn bench_warehouse_queries(c: &mut Criterion) {
     let (from, to) = (SimTime::from_secs(20), SimTime::from_secs(50));
     c.bench_function("warehouse_iter_window_5k", |b| {
         b.iter(|| black_box(w.iter_window(from, to).count()))
-    });
-    // 1 in 8 traces touch the queried service: the ingest-time presence
-    // mask lets the other 7/8 skip their span scan entirely.
-    c.bench_function("warehouse_iter_touching_5k", |b| {
-        b.iter(|| black_box(w.iter_touching(ServiceId(3), from, to).count()))
-    });
-    c.bench_function("warehouse_iter_touching_absent_5k", |b| {
-        b.iter(|| black_box(w.iter_touching(ServiceId(40), from, to).count()))
     });
 }
 

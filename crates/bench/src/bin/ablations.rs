@@ -6,9 +6,8 @@
 //! 3. Kneedle polynomial degree sweep (the §3.3 sensitivity analysis);
 //! 4. scatter window length sweep.
 
-use autoscalers::{FirmConfig, FirmController};
-use cluster::Millicores;
-use scg::{LocalizeConfig, ScgConfig, ScgModel};
+use autoscalers::FirmController;
+use scg::{sensitivity::degree_sweep, ScgModel};
 use sim_core::{SimDuration, SimTime};
 use sora_bench::{
     job, print_table, save_json_with_perf, App, BuiltScenario, PerfMetrics, ScenarioSpec, Sweep,
@@ -68,18 +67,7 @@ fn main() {
     // --- 2. deadline propagation on/off (closed loop) -------------------
     // `SoraConfig::deadline_propagation` is not a spec field, so both arms
     // run their own FIRM + Sora stack on the spec's world and workload.
-    let firm = || {
-        FirmController::new(FirmConfig {
-            services: vec![CART],
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
-            min_limit: Millicores::from_cores(1),
-            max_limit: Millicores::from_cores(4),
-            ..Default::default()
-        })
-    };
+    let firm = || FirmController::new(vec![CART]);
     let registry = || {
         ResourceRegistry::new().with(
             SoftResource::ThreadPool { service: CART },
@@ -89,10 +77,6 @@ fn main() {
     let run_with = move |propagate: bool| {
         let cfg = SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             deadline_propagation: propagate,
             ..Default::default()
         };
@@ -134,24 +118,12 @@ fn main() {
 
     // --- 3. polynomial degree sweep -------------------------------------
     let mut t3 = Table::new(vec!["degree", "knee", "fit RMSE / range"]);
-    let binned = model.aggregate(&scg_pts);
-    let xs: Vec<f64> = binned.iter().map(|b| b.0).collect();
-    let ys: Vec<f64> = binned.iter().map(|b| b.1).collect();
-    let range = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-        - ys.iter().copied().fold(f64::INFINITY, f64::min);
-    for degree in [2usize, 3, 5, 6, 8, 10, 12] {
-        let m = ScgModel::new(ScgConfig {
-            min_degree: degree,
-            max_degree: degree,
-            rmse_tolerance: f64::INFINITY, // force this exact degree
-            ..ScgConfig::default()
-        });
-        let knee = m.estimate(&scg_pts).map(|e| e.optimal);
-        let rmse = scg::PolyFit::fit(&xs, &ys, degree).map(|f| f.rmse(&xs, &ys) / range.max(1e-9));
+    for row in degree_sweep(&scg_pts, &[2, 3, 5, 6, 8, 10, 12]) {
         t3.row(vec![
-            degree.to_string(),
-            format!("{knee:?}"),
-            rmse.map_or("fit failed".into(), |r| format!("{r:.3}")),
+            row.degree.to_string(),
+            format!("{:?}", row.knee),
+            row.relative_rmse
+                .map_or("fit failed".into(), |r| format!("{r:.3}")),
         ]);
     }
     print_table("Ablation 3 — Kneedle polynomial degree (§3.3)", &t3);

@@ -28,10 +28,9 @@
 //! JSON dump on stdout for determinism diffs), `--jobs N` (sweep
 //! parallelism; the output is byte-identical for any value).
 
-use apps::{RunResult, Scenario, ScenarioConfig, SockShop, SockShopParams, Watch};
-use autoscalers::{HpaConfig, HpaController};
+use apps::{RunResult, Scenario, SockShop, SockShopParams, Watch};
+use autoscalers::HpaController;
 use microsim::{BlackoutMode, FaultSchedule, World, WorldConfig};
-use scg::LocalizeConfig;
 use serde::Serialize;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_bench::{job, print_table, save_json_with_perf, scenarios::THINK_MS, Sweep, Table};
@@ -160,10 +159,7 @@ fn run_variant(s: FaultSetup, controller: &mut dyn Controller) -> (RunResult, Wo
     )
     .with_retry(RetryPolicy::default());
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SLA,
-            ..Default::default()
-        },
+        SLA,
         pool,
         Mix::single(shop.get_cart),
         Watch {
@@ -191,16 +187,12 @@ fn sora_over_hpa(s: FaultSetup, degradation: bool) -> SoraController<HpaControll
     SoraController::sora(
         SoraConfig {
             sla: SLA,
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             degradation,
             staleness_bound: SimDuration::from_secs(s.staleness_secs),
             ..Default::default()
         },
         registry,
-        HpaController::new(CART, HpaConfig::default()),
+        HpaController::new(CART, 8),
     )
 }
 
@@ -260,7 +252,7 @@ fn main() {
 
     let outcome = Sweep::from_env().run(vec![
         job("hpa-only", move || {
-            let mut hpa = HpaController::new(CART, HpaConfig::default());
+            let mut hpa = HpaController::new(CART, 8);
             let (result, world) = run_variant(s, &mut hpa);
             report("hpa-only", &result, &world, 0)
         }),

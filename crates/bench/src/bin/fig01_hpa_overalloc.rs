@@ -3,10 +3,9 @@
 //! connection pool multiplies with the replica count and floods
 //! Catalogue-db, so response time keeps spiking. Sora adapts the pool.
 
-use apps::{Scenario, ScenarioConfig, SockShop, SockShopParams, Watch};
-use autoscalers::{HpaConfig, HpaController};
+use apps::{Scenario, SockShop, SockShopParams, Watch};
+use autoscalers::HpaController;
 use microsim::WorldConfig;
-use scg::LocalizeConfig;
 use sim_core::{Dist, SimDuration, SimRng};
 use sora_bench::{job, print_table, save_json_with_perf, Sweep, Table};
 use sora_core::{
@@ -46,21 +45,12 @@ fn run(with_sora: bool, secs: u64) -> apps::RunResult {
         conns: Some((CATALOGUE, CATALOGUE_DB)),
     };
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(s.get_catalogue),
         watch,
     );
-    let hpa = HpaController::new(
-        CATALOGUE,
-        HpaConfig {
-            max_replicas: 6,
-            ..Default::default()
-        },
-    );
+    let hpa = HpaController::new(CATALOGUE, 6);
     if with_sora {
         let registry = ResourceRegistry::new().with(
             SoftResource::ConnPool {
@@ -72,10 +62,6 @@ fn run(with_sora: bool, secs: u64) -> apps::RunResult {
         let mut sora = SoraController::sora(
             SoraConfig {
                 sla: SimDuration::from_millis(400),
-                localize: LocalizeConfig {
-                    min_on_path: 30,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             registry,

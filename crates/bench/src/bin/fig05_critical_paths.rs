@@ -9,7 +9,7 @@
 //! end-to-end response time — the exact inputs of the critical-service
 //! localisation phase.
 
-use apps::{Scenario, ScenarioConfig, SockShop, SockShopParams, Watch};
+use apps::{Scenario, SockShop, SockShopParams, Watch};
 use sim_core::{Dist, SimDuration, SimRng};
 use sora_bench::{job, print_table, save_json_with_perf, Sweep, Table};
 use sora_core::NullController;
@@ -38,7 +38,7 @@ fn main() {
         );
         let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(20));
         let scenario = Scenario::new(
-            ScenarioConfig::default(),
+            SimDuration::from_millis(400),
             pool,
             Mix::single(shop.get_catalogue),
             Watch {

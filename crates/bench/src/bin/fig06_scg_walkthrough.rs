@@ -31,7 +31,7 @@ fn main() {
     let now = SimTime::from_secs(secs);
 
     // ① Critical-service localisation.
-    let mut monitor = Monitor::new(SimDuration::from_secs(60));
+    let mut monitor = Monitor::new();
     let obs = monitor.observe(&mut world, now);
     let mut t1 = Table::new(vec!["service", "CPU util", "PCC(PT, RT)", "on-path traces"]);
     for idx in 0..world.service_count() {
@@ -50,10 +50,7 @@ fn main() {
     }
     print_table("Phase ① — critical service localisation", &t1);
     let critical = obs
-        .critical_service(&scg::LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        })
+        .critical_service()
         .expect("a loaded system has a critical service");
     println!("  -> critical service: {}", world.service_name(critical));
 

@@ -30,11 +30,10 @@
 //! JSON dump on stdout for determinism diffs), `--jobs N` (sweep
 //! parallelism; the output is byte-identical for any value).
 
-use apps::{RunResult, Scenario, ScenarioConfig, SockShop, SockShopParams, Watch};
-use autoscalers::{HpaConfig, HpaController};
+use apps::{RunResult, Scenario, SockShop, SockShopParams, Watch};
+use autoscalers::HpaController;
 use microsim::{BlackoutMode, FaultSchedule, World, WorldConfig};
 use net::{EdgeParams, NetworkConfig};
-use scg::LocalizeConfig;
 use serde::Serialize;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_bench::{job, print_table, save_json_with_perf, scenarios::THINK_MS, Sweep, Table};
@@ -226,10 +225,7 @@ fn run_variant(
     )
     .with_retry(RetryPolicy::default());
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SLA,
-            ..Default::default()
-        },
+        SLA,
         pool,
         Mix::single(shop.get_cart),
         Watch {
@@ -258,17 +254,13 @@ fn sora_over_hpa(s: NetSetup, degradation: bool) -> SoraController<HpaController
     SoraController::sora(
         SoraConfig {
             sla: SLA,
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             degradation,
             staleness_bound: SimDuration::from_secs(s.staleness_secs),
             min_window_samples: if degradation { s.min_window_samples } else { 1 },
             ..Default::default()
         },
         registry,
-        HpaController::new(CART, HpaConfig::default()),
+        HpaController::new(CART, 8),
     )
 }
 

@@ -5,14 +5,12 @@
 //! `run_scenario`, `sora-server`, the fuzzer and the perf ledger all use it.
 
 use apps::{
-    RunResult, Scenario, ScenarioConfig, SocialNetwork, SocialNetworkParams, SockShop,
-    SockShopParams, Watch,
+    RunResult, Scenario, SocialNetwork, SocialNetworkParams, SockShop, SockShopParams, Watch,
 };
-use autoscalers::{FirmConfig, FirmController, HpaConfig, HpaController, VpaConfig, VpaController};
-use cluster::{Millicores, NodeId};
+use autoscalers::{FirmController, HpaController, VpaController};
+use cluster::NodeId;
 use microsim::{BlackoutMode, FaultSchedule, World};
 use net::{EdgeParams, NetworkConfig};
-use scg::LocalizeConfig;
 use serde::{Deserialize, Serialize};
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_core::{
@@ -1010,18 +1008,9 @@ impl ScenarioSpec {
         let focus = self.focus();
         let hardware: Box<dyn Controller> = match self.hardware {
             Hardware::None => Box::new(NullController),
-            Hardware::Hpa => Box::new(HpaController::new(focus, HpaConfig::default())),
-            Hardware::Vpa => Box::new(VpaController::new(focus, VpaConfig::default())),
-            Hardware::Firm => Box::new(FirmController::new(FirmConfig {
-                services: vec![focus],
-                localize: LocalizeConfig {
-                    min_on_path: 30,
-                    ..Default::default()
-                },
-                min_limit: Millicores::from_cores(1),
-                max_limit: Millicores::from_cores(4),
-                ..Default::default()
-            })),
+            Hardware::Hpa => Box::new(HpaController::new(focus, 8)),
+            Hardware::Vpa => Box::new(VpaController::new(focus)),
+            Hardware::Firm => Box::new(FirmController::new(vec![focus])),
         };
         // Sock Shop's Cart pool stays at or above the 5 threads that suit
         // its 2-core starting limit (DESIGN §7); a floor of 2 let Sora
@@ -1033,10 +1022,6 @@ impl ScenarioSpec {
         let registry = ResourceRegistry::new().with(self.soft_resource(), bounds);
         let sora_config = SoraConfig {
             sla: SimDuration::from_millis(self.sla_ms),
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             ..Default::default()
         };
         match self.soft {
@@ -1068,10 +1053,7 @@ impl ScenarioSpec {
         if let Some(retry) = &self.retry {
             pool = pool.with_retry(retry.policy());
         }
-        let scenario_config = ScenarioConfig {
-            report_rtt: SimDuration::from_millis(self.sla_ms),
-            ..Default::default()
-        };
+        let report_rtt = SimDuration::from_millis(self.sla_ms);
         let controller = self.build_controller();
         let (scenario, world) = match self.app {
             App::SockShop => {
@@ -1085,7 +1067,7 @@ impl ScenarioSpec {
                     SimRng::seed_from(self.seed),
                 );
                 let scenario = Scenario::new(
-                    scenario_config,
+                    report_rtt,
                     pool,
                     Mix::single(shop.get_cart),
                     Watch {
@@ -1105,7 +1087,7 @@ impl ScenarioSpec {
                     SimRng::seed_from(self.seed),
                 );
                 let mut scenario = Scenario::new(
-                    scenario_config,
+                    report_rtt,
                     pool,
                     Mix::single(sn.read_home_timeline_light),
                     Watch {
@@ -1131,7 +1113,7 @@ impl ScenarioSpec {
                 }
                 let t = topo::build(&params, world_config, SimRng::seed_from(self.seed));
                 let mut scenario = Scenario::new(
-                    scenario_config,
+                    report_rtt,
                     pool,
                     Mix::single(t.request_types[0]),
                     Watch {

@@ -1,10 +1,10 @@
 //! Hand-built worlds for the experiments that need something
-//! [`ScenarioSpec`](crate::ScenarioSpec) does not carry: the Catalogue
+//! [`ScenarioSpec`] does not carry: the Catalogue
 //! path, Catalogue-db pool and core knobs, and a 4-core Post Storage
 //! (DESIGN §4 lists each one and why). Every Sock Shop Cart and Social
 //! Network read-home-timeline run goes through the spec instead.
 
-use apps::{Scenario, ScenarioConfig, SocialNetwork, SocialNetworkParams, SockShopParams, Watch};
+use apps::{Scenario, SocialNetwork, SocialNetworkParams, SockShopParams, Watch};
 use microsim::{World, WorldConfig};
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use workload::{Mix, RateCurve, TraceShape, UserPool};
@@ -64,15 +64,7 @@ pub fn post_storage_goodput(
         service: sn.post_storage,
         conns: None,
     };
-    let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: threshold,
-            ..Default::default()
-        },
-        pool,
-        Mix::single(rt),
-        watch,
-    );
+    let scenario = Scenario::new(threshold, pool, Mix::single(rt), watch);
     let mut null = sora_core::NullController;
     let result = scenario.run(&mut sn.world, &mut null);
     let warmup = SimTime::from_secs(secs / 3);
@@ -176,7 +168,7 @@ impl MonitoredCase {
                     SimRng::seed_from(seed ^ 0x77),
                 );
                 let scenario = apps::Scenario::new(
-                    ScenarioConfig::default(),
+                    SimDuration::from_millis(400),
                     pool,
                     Mix::single(shop.get_catalogue),
                     Watch {
@@ -206,7 +198,7 @@ impl MonitoredCase {
                     SimRng::seed_from(seed ^ 0x77),
                 );
                 let scenario = apps::Scenario::new(
-                    ScenarioConfig::default(),
+                    SimDuration::from_millis(400),
                     pool,
                     Mix::single(sn.read_home_timeline_light),
                     Watch {

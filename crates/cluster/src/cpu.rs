@@ -231,23 +231,6 @@ impl<T> PsCpu<T> {
         }
     }
 
-    /// Changes the context-switch penalty (for ablation experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `csw_overhead` is negative or not finite.
-    pub fn set_csw_overhead(&mut self, now: SimTime, csw_overhead: f64) {
-        assert!(
-            csw_overhead >= 0.0 && csw_overhead.is_finite(),
-            "invalid overhead"
-        );
-        self.advance(now);
-        if (self.csw_overhead - csw_overhead).abs() > f64::EPSILON {
-            self.csw_overhead = csw_overhead;
-            self.epoch += 1;
-        }
-    }
-
     /// Changes the node-pressure factor (fraction of the limit actually
     /// deliverable), as of `now`. `1.0` restores full capacity.
     ///

@@ -137,11 +137,6 @@ impl ClusterState {
         self.pods.get(&pod).copied()
     }
 
-    /// Number of placed pods.
-    pub fn pod_count(&self) -> usize {
-        self.pods.len()
-    }
-
     /// Places a pod with the given CPU limit using worst-fit (most free
     /// capacity first) to spread load, mirroring a spreading scheduler.
     ///

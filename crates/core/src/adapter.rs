@@ -2,57 +2,29 @@
 
 use crate::{ResourceBounds, SoftResource};
 use microsim::World;
-use sim_core::SimTime;
+
+/// Minimum relative change that triggers reconfiguration (DESIGN §7).
+const HYSTERESIS: f64 = 0.15;
+
+/// Multiplicative exploration step: the pool doubles while no knee shows
+/// (DESIGN §7).
+const EXPLORE_FACTOR: f64 = 2.0;
+
+/// Largest relative shrink applied per period. Growing is immediate
+/// (starved pools must recover fast), shrinking is damped so a momentary
+/// load trough does not leave the pool under-allocated when the next surge
+/// arrives — the asymmetry every production concurrency limiter (e.g.
+/// Netflix's) uses (DESIGN §7).
+const MAX_SHRINK: f64 = 0.3;
 
 /// Applies SCG recommendations to the world's soft-resource knobs, with
 /// hysteresis (small recommendation wobbles are ignored) and gradual
 /// upward exploration when the model reports no knee yet — the paper's
 /// "gradually increase the allocation to find a new optimal value" (§3.2).
-#[derive(Debug, Clone)]
-pub struct ConcurrencyAdapter {
-    /// Minimum relative change that triggers reconfiguration.
-    hysteresis: f64,
-    /// Multiplicative exploration step.
-    explore_factor: f64,
-    /// Largest relative shrink applied per period. Growing is immediate
-    /// (starved pools must recover fast), shrinking is damped so a
-    /// momentary load trough does not leave the pool under-allocated when
-    /// the next surge arrives — the asymmetry every production concurrency
-    /// limiter (e.g. Netflix's) uses.
-    max_shrink: f64,
-}
-
-impl Default for ConcurrencyAdapter {
-    fn default() -> Self {
-        ConcurrencyAdapter {
-            hysteresis: 0.15,
-            explore_factor: 2.0,
-            max_shrink: 0.3,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct ConcurrencyAdapter;
 
 impl ConcurrencyAdapter {
-    /// Creates an adapter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hysteresis` is negative, `explore_factor ≤ 1`, or
-    /// `max_shrink` outside `(0, 1]`.
-    pub fn new(hysteresis: f64, explore_factor: f64, max_shrink: f64) -> Self {
-        assert!(hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(explore_factor > 1.0, "exploration must grow the pool");
-        assert!(
-            max_shrink > 0.0 && max_shrink <= 1.0,
-            "invalid shrink bound"
-        );
-        ConcurrencyAdapter {
-            hysteresis,
-            explore_factor,
-            max_shrink,
-        }
-    }
-
     /// The resource's current per-replica setting.
     pub fn current_setting(world: &World, resource: SoftResource) -> usize {
         match resource {
@@ -83,25 +55,23 @@ impl ConcurrencyAdapter {
     /// Applies an estimate. Returns the new setting if reconfiguration
     /// happened, `None` if the change fell inside the hysteresis band.
     pub fn apply_estimate(
-        &mut self,
         world: &mut World,
         resource: SoftResource,
         bounds: ResourceBounds,
         optimal: usize,
-        _now: SimTime,
     ) -> Option<usize> {
         let mut desired = bounds.clamp(Self::desired_setting(world, resource, optimal));
         let current = Self::current_setting(world, resource);
         if desired < current {
             // Damped shrink: approach the recommendation gradually.
-            let floor = ((current as f64) * (1.0 - self.max_shrink)).floor() as usize;
+            let floor = ((current as f64) * (1.0 - MAX_SHRINK)).floor() as usize;
             desired = desired.max(floor).max(bounds.min);
         }
         let rel = (desired as f64 - current as f64).abs() / current.max(1) as f64;
-        if desired == current || rel < self.hysteresis {
+        if desired == current || rel < HYSTERESIS {
             return None;
         }
-        self.set(world, resource, desired);
+        Self::set(world, resource, desired);
         Some(desired)
     }
 
@@ -109,22 +79,20 @@ impl ConcurrencyAdapter {
     /// knee and the pool shows saturation). Returns the new setting if it
     /// grew.
     pub fn explore(
-        &mut self,
         world: &mut World,
         resource: SoftResource,
         bounds: ResourceBounds,
-        _now: SimTime,
     ) -> Option<usize> {
         let current = Self::current_setting(world, resource);
         if current == usize::MAX {
             return None; // unlimited pool: nothing to explore
         }
-        let grown = ((current as f64 * self.explore_factor).ceil() as usize).max(current + 1);
+        let grown = ((current as f64 * EXPLORE_FACTOR).ceil() as usize).max(current + 1);
         let desired = bounds.clamp(grown);
         if desired <= current {
             return None; // already at the ceiling
         }
-        self.set(world, resource, desired);
+        Self::set(world, resource, desired);
         Some(desired)
     }
 
@@ -137,7 +105,7 @@ impl ConcurrencyAdapter {
         }
     }
 
-    fn set(&self, world: &mut World, resource: SoftResource, value: usize) {
+    fn set(world: &mut World, resource: SoftResource, value: usize) {
         match resource {
             SoftResource::ThreadPool { service } => world.set_thread_limit(service, value),
             SoftResource::ConnPool { caller, target } => {
@@ -151,7 +119,7 @@ impl ConcurrencyAdapter {
 mod tests {
     use super::*;
     use microsim::{Behavior, ServiceSpec, WorldConfig};
-    use sim_core::{Dist, SimRng};
+    use sim_core::{Dist, SimRng, SimTime};
     use telemetry::{RequestTypeId, ServiceId};
 
     fn world() -> (World, ServiceId, ServiceId) {
@@ -174,34 +142,31 @@ mod tests {
     #[test]
     fn apply_respects_hysteresis() {
         let (mut w, front, _) = world();
-        let mut a = ConcurrencyAdapter::default();
+        let apply = ConcurrencyAdapter::apply_estimate;
         let tp = SoftResource::ThreadPool { service: front };
         let b = ResourceBounds { min: 1, max: 100 };
         // 10 → 11 is an 10% change: inside the 15% band.
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 11, SimTime::ZERO), None);
+        assert_eq!(apply(&mut w, tp, b, 11), None);
         assert_eq!(w.thread_limit(front), 10);
         // 10 → 30 applies immediately (growth is never damped).
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 30, SimTime::ZERO), Some(30));
+        assert_eq!(apply(&mut w, tp, b, 30), Some(30));
         assert_eq!(w.thread_limit(front), 30);
         // A recommendation far below shrinks at most 30 % per call.
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 3, SimTime::ZERO), Some(21));
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 3, SimTime::ZERO), Some(14));
+        assert_eq!(apply(&mut w, tp, b, 3), Some(21));
+        assert_eq!(apply(&mut w, tp, b, 3), Some(14));
     }
 
     #[test]
     fn apply_clamps_to_bounds() {
         let (mut w, front, _) = world();
-        let mut a = ConcurrencyAdapter::default();
+        let apply = ConcurrencyAdapter::apply_estimate;
         let tp = SoftResource::ThreadPool { service: front };
         let b = ResourceBounds { min: 4, max: 16 };
-        assert_eq!(
-            a.apply_estimate(&mut w, tp, b, 500, SimTime::ZERO),
-            Some(16)
-        );
+        assert_eq!(apply(&mut w, tp, b, 500), Some(16));
         // Shrinking respects both the damping and, eventually, the floor.
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 1, SimTime::ZERO), Some(11));
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 1, SimTime::ZERO), Some(7));
-        assert_eq!(a.apply_estimate(&mut w, tp, b, 1, SimTime::ZERO), Some(4));
+        assert_eq!(apply(&mut w, tp, b, 1), Some(11));
+        assert_eq!(apply(&mut w, tp, b, 1), Some(7));
+        assert_eq!(apply(&mut w, tp, b, 1), Some(4));
     }
 
     #[test]
@@ -218,14 +183,8 @@ mod tests {
         };
         // optimal 30 per db replica × 4 replicas / 1 caller = 120.
         assert_eq!(ConcurrencyAdapter::desired_setting(&w, cp, 30), 120);
-        let mut a = ConcurrencyAdapter::default();
-        let applied = a.apply_estimate(
-            &mut w,
-            cp,
-            ResourceBounds { min: 1, max: 512 },
-            30,
-            SimTime::ZERO,
-        );
+        let applied =
+            ConcurrencyAdapter::apply_estimate(&mut w, cp, ResourceBounds { min: 1, max: 512 }, 30);
         assert_eq!(applied, Some(120));
         assert_eq!(w.conn_limit(front, db), Some(120));
     }
@@ -233,11 +192,10 @@ mod tests {
     #[test]
     fn exploration_grows_geometrically_to_the_ceiling() {
         let (mut w, front, _) = world();
-        let mut a = ConcurrencyAdapter::default();
         let tp = SoftResource::ThreadPool { service: front };
         let b = ResourceBounds { min: 1, max: 20 };
-        assert_eq!(a.explore(&mut w, tp, b, SimTime::ZERO), Some(20)); // 10×2 clamped
-        assert_eq!(a.explore(&mut w, tp, b, SimTime::ZERO), None); // at ceiling
+        assert_eq!(ConcurrencyAdapter::explore(&mut w, tp, b), Some(20)); // 10×2 clamped
+        assert_eq!(ConcurrencyAdapter::explore(&mut w, tp, b), None); // at ceiling
     }
 
     #[test]

@@ -1,45 +1,28 @@
 //! The Concurrency Estimator: scatter construction + SCG estimation.
 
+use crate::monitor::window_start;
 use microsim::World;
 use scg::{ConcurrencyEstimate, ScgModel};
 use sim_core::{SimDuration, SimTime};
 use telemetry::{build_scatter_into, ScatterPoint, ScatterScratch, ServiceId};
 
-/// Configuration of the estimation pipeline.
-#[derive(Debug, Clone, Copy)]
-pub struct EstimatorConfig {
-    /// Metric sampling interval — 100 ms minimises MAPE in the paper's
-    /// Table 1.
-    pub sampling_interval: SimDuration,
-    /// Scatter window length — 60 s accumulates 600 points at 100 ms, the
-    /// paper's choice balancing curve completeness against agility (§4.1).
-    pub window: SimDuration,
-    /// Goodput (latency-aware, Sora) vs throughput (ConScale's SCT model).
-    pub latency_aware: bool,
-}
-
-impl Default for EstimatorConfig {
-    fn default() -> Self {
-        EstimatorConfig {
-            sampling_interval: SimDuration::from_millis(100),
-            window: SimDuration::from_secs(60),
-            latency_aware: true,
-        }
-    }
-}
+/// Metric sampling interval: 100 ms minimises MAPE in the paper's Table 1.
+const SAMPLING_INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// Builds per-replica concurrency/goodput scatter graphs from the live
-/// samplers and runs the SCG model on them. The recommendation is
-/// per replica, which is what the soft-resource knobs control.
+/// samplers over the trailing 60 s window and runs the SCG model on them.
+/// The recommendation is per replica, which is what the soft-resource knobs
+/// control.
 ///
 /// The estimator owns the scratch buffers of the whole
 /// scatter→bin→estimate pipeline (per-bucket averages and counts, merged
 /// points, dense bins), so a controller that calls
 /// [`ConcurrencyEstimator::estimate`] every tick allocates nothing in
 /// steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ConcurrencyEstimator {
-    config: EstimatorConfig,
+    /// Goodput (latency-aware, Sora) vs throughput (ConScale's SCT model).
+    latency_aware: bool,
     model: ScgModel,
     scratch: ScatterScratch,
     points: Vec<ScatterPoint>,
@@ -47,30 +30,22 @@ pub struct ConcurrencyEstimator {
 }
 
 impl ConcurrencyEstimator {
-    /// Creates an estimator.
-    pub fn new(config: EstimatorConfig, model: ScgModel) -> Self {
+    /// Creates an estimator over goodput (`latency_aware`, Sora's SCG
+    /// model) or throughput (ConScale's SCT model).
+    pub fn new(latency_aware: bool) -> Self {
         ConcurrencyEstimator {
-            config,
-            model,
+            latency_aware,
+            model: ScgModel::default(),
             scratch: ScatterScratch::default(),
             points: Vec::new(),
             bins: Vec::new(),
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.config
-    }
-
-    /// Start of the trailing estimation window ending at `now`.
-    fn window_start(&self, now: SimTime) -> SimTime {
-        let elapsed = now.saturating_since(SimTime::ZERO);
-        if elapsed > self.config.window {
-            SimTime::ZERO + (elapsed - self.config.window)
-        } else {
-            SimTime::ZERO
-        }
+    /// Whether the estimator scores goodput (Sora) rather than throughput
+    /// (ConScale).
+    pub fn latency_aware(&self) -> bool {
+        self.latency_aware
     }
 
     /// Collects the scatter for `service` over the trailing window,
@@ -100,11 +75,11 @@ impl ConcurrencyEstimator {
         points: &mut Vec<ScatterPoint>,
     ) {
         points.clear();
-        let from = self.window_start(now);
+        let from = window_start(now);
         if from >= now {
             return;
         }
-        let thr = self.config.latency_aware.then_some(threshold);
+        let thr = self.latency_aware.then_some(threshold);
         for replica in world.ready_replicas_iter(service) {
             let (Some(conc), Some(comp)) =
                 (world.concurrency_of(replica), world.completions_of(replica))
@@ -116,7 +91,7 @@ impl ConcurrencyEstimator {
                 comp,
                 from,
                 now,
-                self.config.sampling_interval,
+                SAMPLING_INTERVAL,
                 thr,
                 scratch,
                 points,
@@ -196,7 +171,7 @@ mod tests {
     #[test]
     fn scatter_is_nonempty_under_load() {
         let (w, svc) = loaded_world(16);
-        let est = ConcurrencyEstimator::default();
+        let est = ConcurrencyEstimator::new(true);
         let pts = est.scatter(&w, svc, t(61_000), SimDuration::from_millis(50));
         assert!(
             pts.len() > 300,
@@ -208,14 +183,8 @@ mod tests {
     #[test]
     fn goodput_scatter_is_below_throughput_scatter() {
         let (w, svc) = loaded_world(16);
-        let lat = ConcurrencyEstimator::default();
-        let thr = ConcurrencyEstimator::new(
-            EstimatorConfig {
-                latency_aware: false,
-                ..Default::default()
-            },
-            ScgModel::default(),
-        );
+        let lat = ConcurrencyEstimator::new(true);
+        let thr = ConcurrencyEstimator::new(false);
         let tight = SimDuration::from_millis(8);
         let g: f64 = lat
             .scatter(&w, svc, t(61_000), tight)
@@ -233,7 +202,7 @@ mod tests {
     #[test]
     fn estimates_a_reasonable_knee_for_a_two_core_service() {
         let (w, svc) = loaded_world(24);
-        let mut est = ConcurrencyEstimator::default();
+        let mut est = ConcurrencyEstimator::new(true);
         // Generous threshold: knee driven by capacity, near a small multiple
         // of the core count.
         if let Some(e) = est.estimate(&w, svc, t(61_000), SimDuration::from_millis(60)) {
@@ -256,7 +225,7 @@ mod tests {
         w.add_request_type("r", svc);
         let pod = w.add_replica(svc).unwrap();
         w.make_ready(pod);
-        let mut est = ConcurrencyEstimator::default();
+        let mut est = ConcurrencyEstimator::new(true);
         assert!(est
             .estimate(&w, svc, SimTime::ZERO, SimDuration::from_millis(100))
             .is_none());
@@ -301,7 +270,7 @@ mod debug_tests {
                 w.inject_at(sim_core::SimTime::from_millis(at), rt);
             }
             w.run_until(sim_core::SimTime::from_millis(61_000));
-            let est = ConcurrencyEstimator::default();
+            let est = ConcurrencyEstimator::new(true);
             let pts = est.scatter(
                 &w,
                 svc,

@@ -18,8 +18,9 @@
 //! 5. the [`ConcurrencyAdapter`] actuates the owning soft resource
 //!    (gradually exploring upward when the model reports no knee yet).
 //!
-//! The same machinery with `latency_aware = false` reproduces ConScale's
-//! SCT-based adaptation — used as a baseline in the evaluation.
+//! The same machinery with a throughput-scoring estimator
+//! ([`SoraController::conscale`]) reproduces ConScale's SCT-based
+//! adaptation — used as a baseline in the evaluation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ mod sora;
 
 pub use adapter::ConcurrencyAdapter;
 pub use controller::{Controller, ControllerStatus, NullController};
-pub use estimator::{ConcurrencyEstimator, EstimatorConfig};
+pub use estimator::ConcurrencyEstimator;
 pub use monitor::{Monitor, Observation};
 pub use probe::UtilizationProbe;
 pub use resource::{ResourceBounds, ResourceRegistry, SoftResource};

@@ -2,10 +2,24 @@
 
 use crate::UtilizationProbe;
 use microsim::World;
-use scg::{localize_critical_service, LocalizeConfig};
+use scg::localize_critical_service;
 use sim_core::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use telemetry::{per_service_stats, CriticalPathStats, ServiceId};
+
+/// The trailing window both the trace analysis and the concurrency scatter
+/// read: 60 s accumulates 600 points at 100 ms, the paper's choice
+/// balancing curve completeness against agility (§4.1).
+const WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Start of the trailing `WINDOW` ending at `now` (the run start while less
+/// than a window has elapsed).
+pub(crate) fn window_start(now: SimTime) -> SimTime {
+    SimTime::ZERO
+        + now
+            .saturating_since(SimTime::ZERO)
+            .saturating_sub_or_zero(WINDOW)
+}
 
 /// One control period's observation of the system.
 #[derive(Debug)]
@@ -19,34 +33,25 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// The critical service under the given localisation policy, if any.
-    pub fn critical_service(&self, config: &LocalizeConfig) -> Option<ServiceId> {
-        localize_critical_service(&self.path_stats, &self.utilization, config)
+    /// The critical service, if any (see [`localize_critical_service`]).
+    pub fn critical_service(&self) -> Option<ServiceId> {
+        localize_critical_service(&self.path_stats, &self.utilization)
     }
 }
 
 /// Collects system-level metrics (CPU utilisation via the per-pod monitors)
-/// and application-level traces (from the warehouse) each control period —
-/// the paper's Monitoring Module backed by cAdvisor + Jaeger agents.
-#[derive(Debug, Clone)]
+/// and application-level traces (the warehouse's trailing 60 s) each
+/// control period — the paper's Monitoring Module backed by cAdvisor +
+/// Jaeger agents.
+#[derive(Debug, Clone, Default)]
 pub struct Monitor {
-    /// How much trace history feeds critical-path analysis.
-    window: SimDuration,
     probe: UtilizationProbe,
 }
 
 impl Monitor {
-    /// Creates a monitor analysing the trailing `window` of traces.
-    pub fn new(window: SimDuration) -> Self {
-        Monitor {
-            window,
-            probe: UtilizationProbe::new(),
-        }
-    }
-
-    /// The analysis window.
-    pub fn window(&self) -> SimDuration {
-        self.window
+    /// Creates a monitor.
+    pub fn new() -> Self {
+        Monitor::default()
     }
 
     /// Takes one observation at `now`. Utilisation is averaged over the
@@ -57,13 +62,7 @@ impl Monitor {
             let service = ServiceId(idx as u32);
             utilization.insert(service, self.probe.read(world, service, now));
         }
-        let from = now.saturating_since(SimTime::ZERO);
-        let from = if from > self.window {
-            SimTime::ZERO + (from - self.window)
-        } else {
-            SimTime::ZERO
-        };
-        let path_stats = per_service_stats(world.warehouse().iter_window(from, now));
+        let path_stats = per_service_stats(world.warehouse().iter_window(window_start(now), now));
         Observation {
             now,
             utilization,
@@ -112,7 +111,7 @@ mod tests {
             w.inject_at(t(i * 5), rt);
         }
         w.run_until(t(2_000));
-        let mut m = Monitor::new(SimDuration::from_secs(60));
+        let mut m = Monitor::new();
         let obs = m.observe(&mut w, t(2_000));
         assert_eq!(obs.utilization.len(), 2);
         assert_eq!(obs.now, t(2_000));
@@ -126,19 +125,16 @@ mod tests {
             w.inject_at(t(i * 4), rt);
         }
         w.run_until(t(2_500));
-        let mut m = Monitor::new(SimDuration::from_secs(60));
+        let mut m = Monitor::new();
         let obs = m.observe(&mut w, t(2_500));
-        let crit = obs.critical_service(&LocalizeConfig {
-            min_on_path: 10,
-            ..Default::default()
-        });
+        let crit = obs.critical_service();
         assert_eq!(crit, Some(ServiceId(1)), "worker dominates end-to-end RT");
     }
 
     #[test]
     fn utilization_is_per_period_not_cumulative() {
         let (mut w, rt) = world();
-        let mut m = Monitor::new(SimDuration::from_secs(60));
+        let mut m = Monitor::new();
         // Busy first second.
         for i in 0..100 {
             w.inject_at(t(i * 10), rt);

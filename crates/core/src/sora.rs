@@ -1,12 +1,14 @@
 //! The Sora controller: the full adaptation loop of Fig. 8.
 
-use crate::{
-    ConcurrencyAdapter, ConcurrencyEstimator, Controller, EstimatorConfig, Monitor,
-    ResourceRegistry,
-};
+use crate::{ConcurrencyAdapter, ConcurrencyEstimator, Controller, Monitor, ResourceRegistry};
 use microsim::World;
-use scg::{propagate_deadline, LocalizeConfig, ScgModel};
+use scg::{propagate_deadline, MIN_ON_PATH};
 use sim_core::{SimDuration, SimTime};
+
+/// Exploration stops once the monitored service's CPU utilisation reaches
+/// this level: growing a pool cannot help a CPU-bound service, it only adds
+/// oversubscription overhead (DESIGN §7).
+const EXPLORE_UTIL_CEILING: f64 = 0.9;
 
 /// Configuration of the Sora control loop.
 #[derive(Debug, Clone)]
@@ -14,18 +16,6 @@ pub struct SoraConfig {
     /// The end-to-end SLA whose violation Sora mitigates (e.g. 400 ms in
     /// the paper's Figs. 10–12).
     pub sla: SimDuration,
-    /// Critical-service localisation policy.
-    pub localize: LocalizeConfig,
-    /// Estimation pipeline tuning (sampling interval, window,
-    /// latency-aware vs throughput-based).
-    pub estimator: EstimatorConfig,
-    /// Whether to explore upward when no knee is detected and the gated
-    /// pool shows queued demand.
-    pub explore_when_no_knee: bool,
-    /// Exploration stops once the monitored service's CPU utilisation
-    /// reaches this level: growing a pool cannot help a CPU-bound service,
-    /// it only adds oversubscription overhead.
-    pub explore_util_ceiling: f64,
     /// Whether to propagate the SLA along the critical path (eq. 3). When
     /// off, the critical service's goodput threshold is the raw SLA — an
     /// ablation quantifying what deadline propagation contributes.
@@ -56,10 +46,6 @@ impl Default for SoraConfig {
     fn default() -> Self {
         SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig::default(),
-            estimator: EstimatorConfig::default(),
-            explore_when_no_knee: true,
-            explore_util_ceiling: 0.9,
             deadline_propagation: true,
             degradation: true,
             staleness_bound: SimDuration::from_secs(30),
@@ -76,7 +62,8 @@ impl Default for SoraConfig {
 /// (2) localises the critical service, (3) propagates the SLA into that
 /// service's response-time threshold, (4) estimates the optimal
 /// concurrency with the SCG model, and (5) actuates the owning soft
-/// resource.
+/// resource, exploring upward when no knee shows and the gated pool has
+/// queued demand.
 ///
 /// Constructing it with [`SoraController::conscale`] flips the estimator to
 /// the throughput-based SCT model with no deadline propagation — the
@@ -86,7 +73,6 @@ pub struct SoraController<H> {
     config: SoraConfig,
     monitor: Monitor,
     estimator: ConcurrencyEstimator,
-    adapter: ConcurrencyAdapter,
     registry: ResourceRegistry,
     hardware: H,
     /// Log of `(time, resource-description, new setting)` actuations.
@@ -100,33 +86,27 @@ pub struct SoraController<H> {
 impl<H: Controller> SoraController<H> {
     /// Creates the latency-aware Sora controller.
     pub fn sora(config: SoraConfig, registry: ResourceRegistry, hardware: H) -> Self {
-        let mut config = config;
-        config.estimator.latency_aware = true;
-        Self::build("sora", config, registry, hardware)
+        Self::build("sora", true, config, registry, hardware)
     }
 
     /// Creates the ConScale baseline: identical pipeline but the
     /// throughput-based SCT model and no latency awareness.
     pub fn conscale(config: SoraConfig, registry: ResourceRegistry, hardware: H) -> Self {
-        let mut config = config;
-        config.estimator.latency_aware = false;
-        Self::build("conscale", config, registry, hardware)
+        Self::build("conscale", false, config, registry, hardware)
     }
 
     fn build(
         name: &'static str,
+        latency_aware: bool,
         config: SoraConfig,
         registry: ResourceRegistry,
         hardware: H,
     ) -> Self {
-        let monitor = Monitor::new(config.estimator.window);
-        let estimator = ConcurrencyEstimator::new(config.estimator, ScgModel::default());
         SoraController {
             name,
             config,
-            monitor,
-            estimator,
-            adapter: ConcurrencyAdapter::default(),
+            monitor: Monitor::new(),
+            estimator: ConcurrencyEstimator::new(latency_aware),
             registry,
             hardware,
             actions: Vec::new(),
@@ -152,16 +132,6 @@ impl<H: Controller> SoraController<H> {
     pub fn last_good_estimate(&self) -> Option<usize> {
         self.last_good
     }
-
-    /// The wrapped hardware autoscaler.
-    pub fn hardware(&self) -> &H {
-        &self.hardware
-    }
-
-    /// Mutable access to the wrapped hardware autoscaler.
-    pub fn hardware_mut(&mut self) -> &mut H {
-        &mut self.hardware
-    }
 }
 
 impl<H: Controller> Controller for SoraController<H> {
@@ -172,7 +142,7 @@ impl<H: Controller> Controller for SoraController<H> {
 
         // 2. Observe and localise.
         let obs = self.monitor.observe(world, now);
-        let Some(localized) = obs.critical_service(&self.config.localize) else {
+        let Some(localized) = obs.critical_service() else {
             return;
         };
         // The localised service is ideally gated by a registered knob; if it
@@ -188,8 +158,7 @@ impl<H: Controller> Controller for SoraController<H> {
                 self.registry
                     .iter()
                     .filter(|(r, _)| {
-                        obs.path_stats.on_path_count(r.monitored_service())
-                            >= self.config.localize.min_on_path
+                        obs.path_stats.on_path_count(r.monitored_service()) >= MIN_ON_PATH
                     })
                     .filter_map(|&(r, b)| {
                         obs.path_stats.pcc(r.monitored_service()).map(|p| (p, r, b))
@@ -250,7 +219,7 @@ impl<H: Controller> Controller for SoraController<H> {
             .path_stats
             .mean_upstream_pt(critical)
             .unwrap_or(SimDuration::ZERO);
-        let threshold = if self.estimator.config().latency_aware {
+        let threshold = if self.estimator.latency_aware() {
             if self.config.deadline_propagation {
                 propagate_deadline(self.config.sla, upstream)
             } else {
@@ -270,7 +239,7 @@ impl<H: Controller> Controller for SoraController<H> {
         // oversubscription, so the estimate goes through.
         let saturated = ConcurrencyAdapter::is_saturated(world, resource);
         let util = obs.utilization.get(&critical).copied().unwrap_or(0.0);
-        let cpu_headroom = util < self.config.explore_util_ceiling;
+        let cpu_headroom = util < EXPLORE_UTIL_CEILING;
         let current = ConcurrencyAdapter::current_setting(world, resource);
         let estimate = self.estimator.estimate(world, critical, now, threshold);
         if let Some(est) = &estimate {
@@ -284,15 +253,14 @@ impl<H: Controller> Controller for SoraController<H> {
                         <= current) =>
             {
                 if let Some(applied) =
-                    self.adapter
-                        .apply_estimate(world, resource, bounds, est.optimal, now)
+                    ConcurrencyAdapter::apply_estimate(world, resource, bounds, est.optimal)
                 {
                     self.actions.push((now, resource.to_string(), applied));
                 }
             }
             _ => {
-                if self.config.explore_when_no_knee && saturated && cpu_headroom {
-                    if let Some(applied) = self.adapter.explore(world, resource, bounds, now) {
+                if saturated && cpu_headroom {
+                    if let Some(applied) = ConcurrencyAdapter::explore(world, resource, bounds) {
                         self.actions.push((now, resource.to_string(), applied));
                     }
                 }
@@ -377,10 +345,6 @@ mod tests {
         let mut sora = SoraController::sora(
             SoraConfig {
                 sla: SimDuration::from_millis(60),
-                localize: LocalizeConfig {
-                    min_on_path: 10,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             registry,
@@ -409,10 +373,6 @@ mod tests {
         let mut sora = SoraController::sora(
             SoraConfig {
                 sla: SimDuration::from_millis(60),
-                localize: LocalizeConfig {
-                    min_on_path: 10,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             registry,
@@ -437,10 +397,6 @@ mod tests {
             );
             let config = SoraConfig {
                 sla: SimDuration::from_millis(25),
-                localize: LocalizeConfig {
-                    min_on_path: 10,
-                    ..Default::default()
-                },
                 ..Default::default()
             };
             let mut c = if latency_aware {
@@ -469,10 +425,6 @@ mod tests {
     fn degradation_config() -> SoraConfig {
         SoraConfig {
             sla: SimDuration::from_millis(60),
-            localize: LocalizeConfig {
-                min_on_path: 10,
-                ..Default::default()
-            },
             staleness_bound: SimDuration::from_secs(20),
             ..Default::default()
         }

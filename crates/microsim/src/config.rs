@@ -187,6 +187,25 @@ pub struct RequestTypeSpec {
     pub timeout: Option<SimDuration>,
 }
 
+/// Trace-warehouse retention horizon: three of the controllers' 60 s
+/// analysis windows (§4.1; DESIGN §7).
+pub(crate) const TRACE_HORIZON: SimDuration = SimDuration::from_secs(180);
+
+/// Retention horizon of the per-replica concurrency and completion
+/// samplers: three 60 s scatter windows (§4.1; DESIGN §7).
+pub(crate) const METRICS_HORIZON: SimDuration = SimDuration::from_secs(180);
+
+/// Bucket width of the end-to-end client log timeline: the 1 s resolution
+/// of the paper's timeline figures (Figs. 10–12).
+pub(crate) const CLIENT_BUCKET: SimDuration = SimDuration::from_secs(1);
+
+/// Connection-level retry budget: how many times an inter-service call
+/// finding no ready replica is re-attempted (every 10 ms, as a client
+/// library would) before the whole request is dropped with
+/// [`DropReason::RetriesExhausted`](crate::DropReason::RetriesExhausted).
+/// 50 retries wait out 500 ms with no replica ready (DESIGN §7).
+pub(crate) const MAX_CONNECT_RETRIES: u32 = 50;
+
 /// World-level options.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorldConfig {
@@ -196,19 +215,8 @@ pub struct WorldConfig {
     /// How long new replicas take from creation to readiness (container
     /// start-up).
     pub replica_startup: Dist,
-    /// Trace-warehouse retention horizon.
-    pub trace_horizon: SimDuration,
     /// Warehouse ingest sampling: keep one in `trace_sample_every` traces.
     pub trace_sample_every: u64,
-    /// Retention horizon of the per-replica concurrency/completion samplers.
-    pub metrics_horizon: SimDuration,
-    /// Bucket width of the end-to-end client log timeline.
-    pub client_bucket: SimDuration,
-    /// Connection-level retry budget: how many times an inter-service call
-    /// finding no ready replica is re-attempted (every 10 ms, as a client
-    /// library would) before the whole request is dropped with
-    /// [`DropReason::RetriesExhausted`](crate::DropReason::RetriesExhausted).
-    pub max_connect_retries: u32,
 }
 
 impl Default for WorldConfig {
@@ -216,11 +224,7 @@ impl Default for WorldConfig {
         WorldConfig {
             net_delay: Dist::constant_us(200),
             replica_startup: Dist::constant_ms(2_000),
-            trace_horizon: SimDuration::from_secs(180),
             trace_sample_every: 1,
-            metrics_horizon: SimDuration::from_secs(180),
-            client_bucket: SimDuration::from_secs(1),
-            max_connect_retries: 50,
         }
     }
 }
@@ -257,6 +261,5 @@ mod tests {
     fn default_config_is_sane() {
         let c = WorldConfig::default();
         assert!(c.trace_sample_every >= 1);
-        assert!(!c.metrics_horizon.is_zero());
     }
 }

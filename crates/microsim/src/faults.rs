@@ -399,14 +399,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Adds a crash at `at` whose replacement arrives at `until`. An
-    /// inverted window (`until < at`) is recorded but rejected by
-    /// [`FaultSchedule::validate`].
-    pub fn crash_between(mut self, at: SimTime, until: SimTime, service: ServiceId) -> Self {
-        self.windows.push((at, until, "crash"));
-        self.crash(at, service, Some(until.saturating_since(at)))
-    }
-
     /// Adds a CPU-pressure window on `node` spanning `[at, until]`. An
     /// inverted window (`until < at`) is recorded but rejected by
     /// [`FaultSchedule::validate`].
@@ -627,11 +619,6 @@ mod tests {
                 end: t(40),
             })
         );
-        let s = FaultSchedule::new().crash_between(t(9), t(8), ServiceId(3));
-        assert!(matches!(
-            s.validate(),
-            Err(FaultScheduleError::InvertedWindow { kind: "crash", .. })
-        ));
         let s = FaultSchedule::new().cpu_pressure_between(t(2), t(1), NodeId(0), 1.0);
         assert!(matches!(
             s.validate(),

@@ -1,9 +1,9 @@
 //! Replica (pod) runtime state: CPU, thread gate, connection pools, samplers.
 
+use crate::config::METRICS_HORIZON;
 use crate::request::FrameIdx;
 use cluster::{Millicores, PsCpu};
-use sim_core::stats::P2Quantile;
-use sim_core::{SimDuration, SlabKey};
+use sim_core::SlabKey;
 use std::collections::{BTreeMap, VecDeque};
 use telemetry::{CompletionLog, ConcurrencyTracker, ReplicaId, ServiceId};
 
@@ -141,9 +141,6 @@ pub(crate) struct Replica {
     pub concurrency: ConcurrencyTracker,
     /// Span completions at this replica (SCG's goodput source).
     pub completions: CompletionLog,
-    /// Live p99 of this replica's span response times (a streaming gauge, as
-    /// a production telemetry agent would export).
-    pub span_p99: P2Quantile,
 }
 
 impl Replica {
@@ -154,7 +151,6 @@ impl Replica {
         csw_overhead: f64,
         thread_limit: usize,
         conn_limits: &BTreeMap<ServiceId, usize>,
-        metrics_horizon: SimDuration,
     ) -> Self {
         Replica {
             id,
@@ -165,9 +161,8 @@ impl Replica {
                 .iter()
                 .map(|(&t, &l)| (t, ConnPool::new(l)))
                 .collect(),
-            concurrency: ConcurrencyTracker::new(metrics_horizon),
-            completions: CompletionLog::new(metrics_horizon),
-            span_p99: P2Quantile::new(0.99),
+            concurrency: ConcurrencyTracker::new(METRICS_HORIZON),
+            completions: CompletionLog::new(METRICS_HORIZON),
         }
     }
 
@@ -185,7 +180,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::SimTime;
+    use sim_core::{SimDuration, SimTime};
 
     fn key(n: usize) -> SlabKey {
         // Mint distinct keys the way the world does: via a slab.
@@ -201,7 +196,6 @@ mod tests {
             0.0,
             2,
             &BTreeMap::from([(ServiceId(9), 1)]),
-            SimDuration::from_secs(60),
         )
     }
 

@@ -802,11 +802,10 @@ fn telemetry_retransmits_are_deduped_live_and_after_a_lag_blackout() {
 #[test]
 fn connect_retries_exhaust_into_a_dropped_request() {
     // front → db where db has no replica at all: the child call retries
-    // every 10 ms up to the budget, then the request drops.
+    // every 10 ms up to the budget of 50, then the request drops.
     let config = WorldConfig {
         net_delay: Dist::constant_us(0),
         replica_startup: Dist::constant_us(0),
-        max_connect_retries: 5,
         ..WorldConfig::default()
     };
     let mut w = World::new(config, SimRng::seed_from(2));
@@ -912,14 +911,9 @@ proptest! {
         crash_ms in 10u64..300,
         restart_ms in 0u64..200, // 0 encodes "no restart"
         timeout_ms in 20u64..80,
-        retries in 0u32..8,
         seed in 0u64..300,
     ) {
-        let config = WorldConfig {
-            max_connect_retries: retries,
-            ..WorldConfig::default()
-        };
-        let mut w = World::new(config, SimRng::seed_from(seed));
+        let mut w = World::new(WorldConfig::default(), SimRng::seed_from(seed));
         let rt = RequestTypeId(0);
         let db_id = ServiceId(1);
         let front = w.add_service(

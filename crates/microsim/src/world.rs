@@ -1,6 +1,9 @@
 //! The simulation world: services, replicas, requests and the event loop.
 
-use crate::config::{LbPolicy, RequestTypeSpec, ServiceSpec, Stage, WorldConfig};
+use crate::config::{
+    LbPolicy, RequestTypeSpec, ServiceSpec, Stage, WorldConfig, CLIENT_BUCKET, MAX_CONNECT_RETRIES,
+    TRACE_HORIZON,
+};
 use crate::faults::{BlackoutMode, FaultKind, FaultSchedule, FaultScheduleError};
 use crate::replica::{ConnWaiter, Replica, ReplicaState};
 use crate::request::{Frame, FrameIdx, RequestState};
@@ -312,8 +315,8 @@ impl World {
     /// Creates an empty world with one effectively-unbounded node (capacity
     /// checks can be made meaningful with [`World::add_node`]).
     pub fn new(config: WorldConfig, rng: SimRng) -> Self {
-        let warehouse = TraceWarehouse::new(config.trace_horizon, config.trace_sample_every);
-        let client = ClientLog::new(config.client_bucket);
+        let warehouse = TraceWarehouse::new(TRACE_HORIZON, config.trace_sample_every);
+        let client = ClientLog::new(CLIENT_BUCKET);
         let lb_rng = rng.split("load-balancer");
         World {
             config,
@@ -534,7 +537,6 @@ impl World {
             rt.spec.csw_overhead,
             rt.thread_limit,
             &rt.conn_limits,
-            self.config.metrics_horizon,
         );
         // A pod scheduled onto a node inside an active CPU-pressure window
         // inherits the pressure for the rest of the window.
@@ -972,7 +974,6 @@ impl World {
             for (replica, t, rt) in completions {
                 if let Some(r) = self.rep_mut(replica) {
                     r.completions.record(t, rt);
-                    r.span_p99.observe(rt.as_millis_f64());
                 }
             }
             // Traces that came over a non-transparent telemetry edge may
@@ -1222,7 +1223,7 @@ impl World {
             // No ready replica right now: retry shortly (connection-level
             // retry, as a client library would), up to the configured
             // budget; beyond it the whole request fails.
-            if attempt >= self.config.max_connect_retries {
+            if attempt >= MAX_CONNECT_RETRIES {
                 self.abort_request(now, request, DropReason::RetriesExhausted);
                 return;
             }
@@ -1670,7 +1671,6 @@ impl World {
                 match self.blackout {
                     None => {
                         r.completions.record(now, span_rt);
-                        r.span_p99.observe(span_rt.as_millis_f64());
                     }
                     Some(BlackoutMode::Lag) => {
                         self.lag_completions.push((replica, now, span_rt));
@@ -1824,7 +1824,6 @@ impl World {
         }
         if let Some(r) = self.rep_mut(replica) {
             r.completions.record(completed, response_time);
-            r.span_p99.observe(response_time.as_millis_f64());
         }
     }
 
@@ -2115,26 +2114,17 @@ impl World {
     }
 
     /// The concurrency sampler of one replica. It keeps the change points
-    /// of the last `metrics_horizon`, and a windowed read scans only those
-    /// inside its window.
+    /// of the last 180 s, and a windowed read scans only those inside its
+    /// window.
     pub fn concurrency_of(&self, replica: ReplicaId) -> Option<&ConcurrencyTracker> {
         self.rep(replica).map(|r| &r.concurrency)
     }
 
     /// The completion log of one replica. It keeps the completions of the
-    /// last `metrics_horizon`, and a windowed read scans only those inside
+    /// last 180 s, and a windowed read scans only those inside
     /// its window.
     pub fn completions_of(&self, replica: ReplicaId) -> Option<&CompletionLog> {
         self.rep(replica).map(|r| &r.completions)
-    }
-
-    /// Live p99 of span response times across ready replicas of `service`
-    /// (worst replica), in milliseconds — the SLO-violation gauge FIRM-style
-    /// managers scale on. `None` until any replica has completions.
-    pub fn span_p99_ms(&self, service: ServiceId) -> Option<f64> {
-        self.ready_replicas_iter(service)
-            .filter_map(|id| self.rep(id).and_then(|r| r.span_p99.value()))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
     /// Threads currently held across ready replicas of `service` (the
@@ -2233,11 +2223,6 @@ impl World {
     /// The number of registered services.
     pub fn service_count(&self) -> usize {
         self.services.len()
-    }
-
-    /// The entry service of a request type.
-    pub fn entry_of(&self, rtype: RequestTypeId) -> ServiceId {
-        self.request_types[rtype.get() as usize].entry
     }
 }
 

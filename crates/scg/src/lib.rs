@@ -41,5 +41,5 @@ pub mod sensitivity;
 pub use deadline::propagate_deadline;
 pub use fit::PolyFit;
 pub use kneedle::{KneeDirection, Kneedle};
-pub use localize::{localize_critical_service, LocalizeConfig};
+pub use localize::{localize_critical_service, MIN_ON_PATH};
 pub use model::{ConcurrencyEstimate, ScgConfig, ScgModel};

@@ -3,26 +3,15 @@
 use std::collections::BTreeMap;
 use telemetry::{CriticalPathStats, ServiceId};
 
-/// Tuning for [`localize_critical_service`].
-#[derive(Debug, Clone, Copy)]
-pub struct LocalizeConfig {
-    /// CPU-utilisation screening threshold: services at or above this are
-    /// capacity-saturation candidates (the paper's first step, following
-    /// FIRM).
-    pub util_threshold: f64,
-    /// Minimum number of traces a service must appear on (as part of the
-    /// critical path) for its PCC to be trusted.
-    pub min_on_path: u64,
-}
+/// CPU-utilisation screening threshold: services at or above it are
+/// capacity-saturation candidates (the paper's first localisation step,
+/// following FIRM, §3.2). The 0.7 value is a fixed constant (DESIGN §7).
+const UTIL_THRESHOLD: f64 = 0.7;
 
-impl Default for LocalizeConfig {
-    fn default() -> Self {
-        LocalizeConfig {
-            util_threshold: 0.7,
-            min_on_path: 20,
-        }
-    }
-}
+/// Minimum number of traces a service must appear on (as part of the
+/// critical path) for its PCC to be trusted: 30 traces, the usual floor for
+/// a Pearson coefficient (DESIGN §7).
+pub const MIN_ON_PATH: u64 = 30;
 
 /// Identifies the critical service by the paper's two-step method (§3.2):
 ///
@@ -39,17 +28,16 @@ impl Default for LocalizeConfig {
 pub fn localize_critical_service(
     stats: &CriticalPathStats,
     utilization: &BTreeMap<ServiceId, f64>,
-    config: &LocalizeConfig,
 ) -> Option<ServiceId> {
     let candidates: Vec<ServiceId> = utilization
         .iter()
-        .filter(|(_, &u)| u >= config.util_threshold)
+        .filter(|(_, &u)| u >= UTIL_THRESHOLD)
         .map(|(&s, _)| s)
         .collect();
     let pick_best = |pool: &[ServiceId]| -> Option<ServiceId> {
         pool.iter()
             .copied()
-            .filter(|&s| stats.on_path_count(s) >= config.min_on_path)
+            .filter(|&s| stats.on_path_count(s) >= MIN_ON_PATH)
             .filter_map(|s| stats.pcc(s).map(|r| (s, r)))
             .max_by(|a, b| {
                 a.1.partial_cmp(&b.1)
@@ -123,29 +111,15 @@ mod tests {
     fn utilization_screen_plus_pcc() {
         let stats = stats();
         let util = BTreeMap::from([(ServiceId(0), 0.9), (ServiceId(1), 0.95)]);
-        let cfg = LocalizeConfig {
-            min_on_path: 10,
-            ..LocalizeConfig::default()
-        };
         // Both are hot; worker's self time drives RT → worker wins.
-        assert_eq!(
-            localize_critical_service(&stats, &util, &cfg),
-            Some(ServiceId(1))
-        );
+        assert_eq!(localize_critical_service(&stats, &util), Some(ServiceId(1)));
     }
 
     #[test]
     fn falls_back_to_pcc_when_cpu_looks_idle() {
         let stats = stats();
         let util = BTreeMap::from([(ServiceId(0), 0.2), (ServiceId(1), 0.3)]);
-        let cfg = LocalizeConfig {
-            min_on_path: 10,
-            ..LocalizeConfig::default()
-        };
-        assert_eq!(
-            localize_critical_service(&stats, &util, &cfg),
-            Some(ServiceId(1))
-        );
+        assert_eq!(localize_critical_service(&stats, &util), Some(ServiceId(1)));
     }
 
     #[test]
@@ -154,11 +128,7 @@ mod tests {
         // Only the (constant-time) front-end passes the screen, but its PCC
         // is undefined/low; the fallback ranking still finds the worker.
         let util = BTreeMap::from([(ServiceId(0), 0.99), (ServiceId(1), 0.1)]);
-        let cfg = LocalizeConfig {
-            min_on_path: 10,
-            ..LocalizeConfig::default()
-        };
-        let got = localize_critical_service(&stats, &util, &cfg);
+        let got = localize_critical_service(&stats, &util);
         assert_eq!(got, Some(ServiceId(1)));
     }
 
@@ -166,9 +136,6 @@ mod tests {
     fn empty_stats_yield_none() {
         let stats = per_service_stats(std::iter::empty::<&Trace>());
         let util = BTreeMap::new();
-        assert_eq!(
-            localize_critical_service(&stats, &util, &LocalizeConfig::default()),
-            None
-        );
+        assert_eq!(localize_critical_service(&stats, &util), None);
     }
 }

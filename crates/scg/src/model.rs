@@ -3,7 +3,26 @@
 use crate::{Kneedle, PolyFit};
 use telemetry::ScatterPoint;
 
-/// Tuning of the SCG estimation phase.
+/// Minimum number of distinct concurrency bins required to estimate: a
+/// degree-5 fit (the paper's lowest working degree, §3.3) needs at least
+/// that many points to mean anything (DESIGN §7).
+const MIN_BINS: usize = 5;
+
+/// Dense evaluation grid size for knee detection on the smoothed curve
+/// (DESIGN §7).
+const GRID_POINTS: usize = 200;
+
+/// A knee whose smoothed goodput is below this fraction of the curve's
+/// maximum is rejected: such a "knee" means the service never saturated in
+/// the window (an under-allocated pool blurs the knee, §3.2), so the
+/// framework keeps exploring instead of trusting it (DESIGN §7).
+const MIN_KNEE_RATE_FRACTION: f64 = 0.75;
+
+/// Concurrency bins observed fewer than this many times are dropped: they
+/// are transient extremes with unreliable goodput averages (DESIGN §7).
+const MIN_BIN_SAMPLES: u64 = 3;
+
+/// Tuning of the SCG estimation phase's incremental degree search (§3.3).
 #[derive(Debug, Clone, Copy)]
 pub struct ScgConfig {
     /// Smallest polynomial degree to try (the paper finds 5–8 fits well).
@@ -14,20 +33,6 @@ pub struct ScgConfig {
     /// goodput range (the paper's "minimum polynomial degree that matches
     /// the profiling data").
     pub rmse_tolerance: f64,
-    /// Kneedle sensitivity `S`.
-    pub sensitivity: f64,
-    /// Minimum number of distinct concurrency bins required to estimate.
-    pub min_bins: usize,
-    /// Dense evaluation grid size for knee detection on the smoothed curve.
-    pub grid_points: usize,
-    /// Reject a knee whose smoothed goodput is below this fraction of the
-    /// curve's maximum: such a "knee" means the service never saturated in
-    /// the window (an under-allocated pool blurs the knee, §3.2), so the
-    /// framework should keep exploring instead of trusting it.
-    pub min_knee_rate_fraction: f64,
-    /// Concurrency bins observed fewer than this many times are dropped:
-    /// they are transient extremes with unreliable goodput averages.
-    pub min_bin_samples: u64,
 }
 
 impl Default for ScgConfig {
@@ -36,11 +41,6 @@ impl Default for ScgConfig {
             min_degree: 5,
             max_degree: 8,
             rmse_tolerance: 0.08,
-            sensitivity: 1.0,
-            min_bins: 5,
-            grid_points: 200,
-            min_knee_rate_fraction: 0.75,
-            min_bin_samples: 3,
         }
     }
 }
@@ -105,7 +105,7 @@ impl ScgModel {
     /// Aggregates raw scatter points into per-integer-concurrency bins:
     /// the paper's "for a specific server concurrency Qₙ we calculate the
     /// average goodput GPₙ". Returns sorted `(q, mean_rate)` pairs (bins
-    /// below [`ScgConfig::min_bin_samples`] are dropped).
+    /// below `MIN_BIN_SAMPLES` are dropped).
     pub fn aggregate(&self, points: &[ScatterPoint]) -> Vec<(f64, f64)> {
         self.aggregate_counted(points)
             .into_iter()
@@ -150,11 +150,10 @@ impl ScgModel {
                 e.2 += 1;
             }
         }
-        let min_samples = self.config.min_bin_samples;
         let mut w = 0;
         for key in 0..out.len() {
             let (_, sum, n) = out[key];
-            if n > 0 && n >= min_samples {
+            if n >= MIN_BIN_SAMPLES {
                 out[w] = (key as f64, sum / n as f64, n);
                 w += 1;
             }
@@ -177,7 +176,7 @@ impl ScgModel {
     /// once via [`ScgModel::aggregate_counted_into`] from the window's
     /// scatter) and skips re-binning the raw scatter per estimate.
     pub fn estimate_binned(&self, binned: &[(f64, f64, u64)]) -> Option<ConcurrencyEstimate> {
-        if binned.len() < self.config.min_bins {
+        if binned.len() < MIN_BINS {
             return None;
         }
         let xs: Vec<f64> = binned.iter().map(|b| b.0).collect();
@@ -195,11 +194,9 @@ impl ScgModel {
         // works).
         let max_deg = self.config.max_degree.min(xs.len().saturating_sub(2));
         let (x0, x1) = (xs[0], *xs.last().expect("non-empty"));
-        let n = self.config.grid_points.max(8);
-        let detector = Kneedle {
-            sensitivity: self.config.sensitivity,
-            ..Kneedle::default()
-        };
+        let n = GRID_POINTS;
+        // The published Kneedle sensitivity, S = 1.
+        let detector = Kneedle::default();
         for degree in self.config.min_degree.min(max_deg)..=max_deg {
             let Some(fit) = PolyFit::fit_weighted(&xs, &ys, Some(&ws), degree) else {
                 continue;
@@ -218,7 +215,7 @@ impl ScgModel {
             let optimal = knee.round().max(1.0) as usize;
             let rate_at_optimal = fit.eval(optimal as f64).max(0.0);
             let grid_max = gy.iter().copied().fold(0.0f64, f64::max);
-            if rate_at_optimal < self.config.min_knee_rate_fraction * grid_max {
+            if rate_at_optimal < MIN_KNEE_RATE_FRACTION * grid_max {
                 continue; // knee far below the peak: unsaturated window
             }
             return Some(ConcurrencyEstimate {
@@ -322,17 +319,17 @@ mod tests {
         let pts = vec![
             ScatterPoint { q: 1.2, rate: 10.0 },
             ScatterPoint { q: 0.9, rate: 20.0 },
+            ScatterPoint { q: 1.0, rate: 30.0 },
             ScatterPoint { q: 0.1, rate: 99.0 }, // idle-ish: dropped
             ScatterPoint { q: 2.0, rate: 30.0 },
+            ScatterPoint { q: 2.2, rate: 40.0 },
+            ScatterPoint { q: 1.8, rate: 50.0 },
         ];
-        let model = ScgModel::new(ScgConfig {
-            min_bin_samples: 1,
-            ..Default::default()
-        });
-        assert_eq!(model.aggregate(&pts), vec![(1.0, 15.0), (2.0, 30.0)]);
-        // The default config requires 3 samples per bin.
-        let sparse = ScgModel::default().aggregate(&pts);
-        assert!(sparse.is_empty(), "single-sample bins dropped: {sparse:?}");
+        let model = ScgModel::default();
+        assert_eq!(model.aggregate(&pts), vec![(1.0, 20.0), (2.0, 40.0)]);
+        // Bins need 3 samples: drop one and its bin goes.
+        let sparse = model.aggregate(&pts[..pts.len() - 1]);
+        assert_eq!(sparse, vec![(1.0, 20.0)], "two-sample bin dropped");
     }
 
     #[test]

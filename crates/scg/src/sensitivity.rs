@@ -1,5 +1,5 @@
 //! Sensitivity analysis of the SCG model (§3.3 of the paper): how the
-//! polynomial degree and the Kneedle sensitivity affect the estimated knee.
+//! polynomial degree affects the estimated knee.
 
 use crate::{PolyFit, ScgConfig, ScgModel};
 use telemetry::ScatterPoint;
@@ -54,7 +54,6 @@ pub fn degree_sweep(points: &[ScatterPoint], degrees: &[usize]) -> Vec<DegreeRow
                 min_degree: degree,
                 max_degree: degree,
                 rmse_tolerance: f64::INFINITY,
-                ..ScgConfig::default()
             });
             let knee = model.estimate(points).map(|e| e.optimal);
             let relative_rmse = if range > 0.0 {
@@ -71,49 +70,12 @@ pub fn degree_sweep(points: &[ScatterPoint], degrees: &[usize]) -> Vec<DegreeRow
         .collect()
 }
 
-/// Sweeps the Kneedle sensitivity `S`: larger values demand a more
-/// pronounced knee before confirming one. Returns `(sensitivity, knee)`
-/// pairs; the knee vanishing as `S` grows quantifies how pronounced the
-/// curve's knee is.
-pub fn kneedle_sensitivity_sweep(
-    points: &[ScatterPoint],
-    sensitivities: &[f64],
-) -> Vec<(f64, Option<usize>)> {
-    sensitivities
-        .iter()
-        .map(|&s| {
-            let model = ScgModel::new(ScgConfig {
-                sensitivity: s,
-                ..ScgConfig::default()
-            });
-            (s, model.estimate(points).map(|e| e.optimal))
-        })
-        .collect()
-}
-
-/// Estimation stability across sub-windows: splits the scatter into
-/// `chunks` equal parts (sample order stands in for time order) and
-/// estimates each independently. Dispersion across chunks is the §3.3
-/// notion of estimation noise; the bench harness combines this with
-/// ground-truth sweeps into the MAPE of Table 1.
-pub fn chunked_estimates(points: &[ScatterPoint], chunks: usize) -> Vec<Option<usize>> {
-    assert!(chunks > 0, "need at least one chunk");
-    let model = ScgModel::default();
-    let size = points.len().div_ceil(chunks).max(1);
-    points
-        .chunks(size)
-        .map(|chunk| model.estimate(chunk).map(|e| e.optimal))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_core::SimRng;
 
-    /// A realistic saturating curve with noise, twelve samples per bin —
-    /// enough that a three-way chunk split still clears the model's
-    /// min-samples-per-bin floor.
+    /// A realistic saturating curve with noise, twelve samples per bin.
     fn scatter(seed: u64) -> Vec<ScatterPoint> {
         let mut rng = SimRng::seed_from(seed);
         (1..=30)
@@ -146,49 +108,5 @@ mod tests {
         let d5 = rows.iter().find(|r| r.degree == 5).unwrap();
         let knee = d5.knee.expect("degree 5 finds the knee");
         assert!((4..=12).contains(&knee), "knee {knee}");
-    }
-
-    #[test]
-    fn sensitivity_sweep_is_monotone_in_confirmation() {
-        let pts = scatter(2);
-        let sweep = kneedle_sensitivity_sweep(&pts, &[0.5, 1.0, 5.0, 500.0]);
-        assert!(sweep[0].1.is_some(), "eager settings confirm the knee");
-        assert!(
-            sweep.last().unwrap().1.is_none(),
-            "absurd S rejects everything"
-        );
-        // Once the knee vanishes it stays vanished (monotone in S).
-        let first_none = sweep.iter().position(|(_, k)| k.is_none());
-        if let Some(i) = first_none {
-            assert!(sweep[i..].iter().all(|(_, k)| k.is_none()), "{sweep:?}");
-        }
-    }
-
-    #[test]
-    fn chunked_estimates_agree_on_stationary_data() {
-        // Interleave the samples so each chunk covers the full concurrency
-        // domain (as real time-windows do under a fluctuating workload).
-        let pts = scatter(3);
-        let mut shuffled = Vec::with_capacity(pts.len());
-        for offset in 0..3 {
-            shuffled.extend(pts.iter().skip(offset).step_by(3).copied());
-        }
-        let ests: Vec<usize> = chunked_estimates(&shuffled, 3)
-            .into_iter()
-            .flatten()
-            .collect();
-        assert!(ests.len() >= 2, "most chunks estimate");
-        let min = ests.iter().min().unwrap();
-        let max = ests.iter().max().unwrap();
-        assert!(
-            max - min <= 4,
-            "stationary data gives stable knees: {ests:?}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one chunk")]
-    fn zero_chunks_panics() {
-        let _ = chunked_estimates(&[], 0);
     }
 }

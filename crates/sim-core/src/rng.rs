@@ -84,11 +84,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit draw (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform draw in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         // 53 random mantissa bits.

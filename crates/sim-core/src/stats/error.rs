@@ -1,4 +1,4 @@
-//! Forecast-error metrics: MAPE (used by the paper's Table 1), MAE, RMSE.
+//! Forecast-error metrics: MAPE (used by the paper's Table 1) and RMSE.
 
 /// Mean Absolute Percentage Error, in percent.
 ///
@@ -30,19 +30,6 @@ pub fn mape(actual: &[f64], predicted: &[f64]) -> Option<f64> {
     (n > 0).then(|| 100.0 * sum / f64::from(n))
 }
 
-/// Mean Absolute Error. Returns `None` for mismatched lengths or empty input.
-pub fn mae(actual: &[f64], predicted: &[f64]) -> Option<f64> {
-    if actual.len() != predicted.len() || actual.is_empty() {
-        return None;
-    }
-    let sum: f64 = actual
-        .iter()
-        .zip(predicted)
-        .map(|(a, p)| (a - p).abs())
-        .sum();
-    Some(sum / actual.len() as f64)
-}
-
 /// Root Mean Squared Error. Returns `None` for mismatched lengths or empty input.
 pub fn rmse(actual: &[f64], predicted: &[f64]) -> Option<f64> {
     if actual.len() != predicted.len() || actual.is_empty() {
@@ -65,7 +52,6 @@ mod tests {
     fn exact_prediction_is_zero_error() {
         let xs = [1.0, 2.0, 3.0];
         assert_eq!(mape(&xs, &xs), Some(0.0));
-        assert_eq!(mae(&xs, &xs), Some(0.0));
         assert_eq!(rmse(&xs, &xs), Some(0.0));
     }
 
@@ -79,19 +65,29 @@ mod tests {
     #[test]
     fn mismatched_lengths_are_none() {
         assert_eq!(mape(&[1.0], &[1.0, 2.0]), None);
-        assert_eq!(mae(&[], &[]), None);
+        assert_eq!(rmse(&[], &[]), None);
         assert_eq!(rmse(&[1.0], &[]), None);
+    }
+
+    /// Mean absolute error, the bound RMSE must dominate (Jensen).
+    fn mae(actual: &[f64], predicted: &[f64]) -> f64 {
+        let sum: f64 = actual
+            .iter()
+            .zip(predicted)
+            .map(|(a, p)| (a - p).abs())
+            .sum();
+        sum / actual.len() as f64
     }
 
     #[test]
     fn rmse_dominates_mae() {
         let a = [10.0, 10.0, 10.0];
         let p = [10.0, 10.0, 19.0];
-        assert!(rmse(&a, &p).unwrap() >= mae(&a, &p).unwrap());
+        assert!(rmse(&a, &p).unwrap() >= mae(&a, &p));
     }
 
     proptest! {
-        /// All metrics are non-negative, and RMSE ≥ MAE (Jensen).
+        /// Both metrics are non-negative, and RMSE ≥ MAE (Jensen).
         #[test]
         fn prop_nonnegative(
             pairs in proptest::collection::vec((1e-3f64..1e3, -1e3f64..1e3), 1..100)
@@ -99,10 +95,8 @@ mod tests {
             let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
             let p: Vec<f64> = pairs.iter().map(|p| p.1).collect();
             prop_assert!(mape(&a, &p).unwrap() >= 0.0);
-            let mae_v = mae(&a, &p).unwrap();
             let rmse_v = rmse(&a, &p).unwrap();
-            prop_assert!(mae_v >= 0.0);
-            prop_assert!(rmse_v + 1e-9 >= mae_v);
+            prop_assert!(rmse_v + 1e-9 >= mae(&a, &p));
         }
     }
 }

@@ -6,13 +6,11 @@
 mod correlation;
 mod error;
 mod histogram;
-mod quantile;
 mod streaming;
 mod timeseries;
 
 pub use correlation::pearson;
-pub use error::{mae, mape, rmse};
+pub use error::{mape, rmse};
 pub use histogram::LatencyHistogram;
-pub use quantile::P2Quantile;
 pub use streaming::OnlineStats;
 pub use timeseries::{BucketSeries, BucketStat};

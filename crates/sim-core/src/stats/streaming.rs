@@ -85,20 +85,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample variance (divides by `n − 1`), or 0 with fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest absorbed sample, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -156,7 +142,7 @@ mod tests {
         let s = OnlineStats::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
+        assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -167,7 +153,7 @@ mod tests {
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
-        assert_eq!(s.sample_variance(), 0.0);
+        assert_eq!(s.population_variance(), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The trace warehouse: a time-horizon-bounded store of finished traces.
 
-use crate::{ServiceId, Span, Trace};
+use crate::{Span, Trace};
 use sim_core::{SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
 
@@ -68,22 +68,12 @@ pub struct TraceWarehouse {
     spare_spans: Vec<Vec<Span>>,
 }
 
-/// A trace plus the two query keys every warehouse scan needs, computed once
-/// at ingest: the completion time (otherwise re-derived from the root span on
-/// every window comparison) and a Bloom-style presence mask of the services
-/// the trace touched (bit `service.0 % 64`). A clear mask bit proves the
-/// service is absent, so [`TraceWarehouse::iter_touching`] skips the span
-/// scan for non-matching traces; a set bit is confirmed by the exact scan
-/// (only relevant for topologies with ≥ 64 services, where bits can alias).
+/// A trace plus its completion time, computed once at ingest instead of
+/// being re-derived from the root span on every window comparison.
 #[derive(Debug, Clone)]
 struct StoredTrace {
     completed: SimTime,
-    service_mask: u64,
     trace: Trace,
-}
-
-fn service_bit(service: ServiceId) -> u64 {
-    1u64 << (service.0 % 64)
 }
 
 impl TraceWarehouse {
@@ -141,13 +131,8 @@ impl TraceWarehouse {
     fn admit(&mut self, trace: Trace, now: SimTime) {
         self.counter += 1;
         if (self.counter - 1).is_multiple_of(self.sample_every) {
-            let service_mask = trace
-                .spans
-                .iter()
-                .fold(0u64, |mask, span| mask | service_bit(span.service));
             self.traces.push_back(StoredTrace {
                 completed: now,
-                service_mask,
                 trace,
             });
         } else {
@@ -259,35 +244,12 @@ impl TraceWarehouse {
             .filter(move |s| s.completed >= from && s.completed < to)
             .map(|s| &s.trace)
     }
-
-    /// Iterates traces whose spans touch `service` in `[from, to)`.
-    ///
-    /// Traces whose ingest-time presence mask excludes the service are
-    /// skipped without scanning their spans; mask hits are confirmed by an
-    /// exact span scan (masks can alias above 64 services).
-    pub fn iter_touching(
-        &self,
-        service: ServiceId,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &Trace> + '_ {
-        let bit = service_bit(service);
-        self.traces
-            .iter()
-            .filter(move |s| {
-                s.completed >= from
-                    && s.completed < to
-                    && s.service_mask & bit != 0
-                    && s.trace.spans.iter().any(|sp| sp.service == service)
-            })
-            .map(|s| &s.trace)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ReplicaId, RequestId, RequestTypeId, Span, SpanId};
+    use crate::{ReplicaId, RequestId, RequestTypeId, ServiceId, Span, SpanId};
 
     fn trace(req: u64, done_ms: u64) -> Trace {
         Trace {
@@ -338,30 +300,6 @@ mod tests {
             .map(|t| t.request.get())
             .collect();
         assert_eq!(hits, [2, 3, 4]);
-        let touching = w
-            .iter_touching(ServiceId(1), SimTime::ZERO, SimTime::from_secs(1))
-            .count();
-        assert_eq!(touching, 2); // requests 1 and 4
-    }
-
-    #[test]
-    fn touching_mask_is_exact_even_with_aliased_ids() {
-        // ServiceId(1) and ServiceId(65) share presence-mask bit 1; the
-        // confirming span scan must still tell them apart.
-        let mut w = TraceWarehouse::new(SimDuration::from_secs(10), 1);
-        let mut t1 = trace(1, 10);
-        t1.spans[0].service = ServiceId(65);
-        w.push(t1);
-        let mut t2 = trace(2, 20);
-        t2.spans[0].service = ServiceId(1);
-        w.push(t2);
-        let count = |svc: u32| {
-            w.iter_touching(ServiceId(svc), SimTime::ZERO, SimTime::from_secs(1))
-                .count()
-        };
-        assert_eq!(count(1), 1);
-        assert_eq!(count(65), 1);
-        assert_eq!(count(2), 0);
     }
 
     #[test]
@@ -449,12 +387,9 @@ mod tests {
         assert_eq!(sink.total(), 0, "{}", sink.summary());
         // Force a duplicate past the ingest guard to prove the audit is an
         // independent re-derivation, not a mirror of the dedupe set.
-        let smuggled = trace(1, 30);
-        let mask = service_bit(smuggled.spans[0].service);
         w.traces.push_back(StoredTrace {
             completed: SimTime::from_millis(30),
-            service_mask: mask,
-            trace: smuggled,
+            trace: trace(1, 30),
         });
         w.audit_into(SimTime::from_millis(30), &mut sink);
         assert_eq!(sink.count(Invariant::TelemetryIdempotence), 1);

@@ -1,6 +1,6 @@
 //! Parameterized microservice topology generator.
 //!
-//! The hand-built [`apps`] topologies stop at Sock Shop's 12 services —
+//! The hand-built `apps` topologies stop at Sock Shop's 12 services —
 //! the scale of the paper's evaluation. The ROADMAP north-star is worlds
 //! serving millions of users across thousands of services, so this crate
 //! grows Sock-Shop/Social-Network-*shaped* call graphs to any size: a
@@ -71,19 +71,6 @@ impl TopoParams {
             request_types: 3,
             timeout: None,
             seed: 0x50c4,
-        }
-    }
-
-    /// A Social-Network-shaped graph: shallower but wider fan-out (3) and
-    /// more request mixes, like DeathStarBench's compose/read timelines.
-    pub fn social_network_like(services: usize) -> TopoParams {
-        TopoParams {
-            services,
-            depth: 4,
-            fanout: 3,
-            request_types: 5,
-            timeout: None,
-            seed: 0x50c1,
         }
     }
 
@@ -440,16 +427,6 @@ mod tests {
         let done = t.world.run_until(SimTime::from_secs(10));
         assert_eq!(done.len(), 50);
         assert_eq!(t.world.dropped(), 0);
-    }
-
-    #[test]
-    fn social_network_preset_is_wider() {
-        let p = TopoParams::social_network_like(100);
-        let t = build(&p, quiet(), SimRng::seed_from(5));
-        assert_eq!(t.layer_sizes.len(), 4);
-        assert_eq!(t.request_types.len(), 5);
-        assert_eq!(p.spans_per_request(), 1 + 3 + 9 + 27);
-        assert_eq!(t.world.service_count(), 100);
     }
 
     #[test]

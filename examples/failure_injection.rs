@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example failure_injection`
 
-use apps::{Scenario, ScenarioConfig, SockShop, SockShopParams, Watch};
-use autoscalers::{HpaConfig, HpaController};
+use apps::{Scenario, SockShop, SockShopParams, Watch};
+use autoscalers::HpaController;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_core::Controller;
 use workload::{Mix, RateCurve, TraceShape, UserPool};
@@ -44,7 +44,7 @@ fn main() {
     let cart = telemetry::ServiceId(1);
     let mut shop = SockShop::build(
         SockShopParams {
-            cart_cores: 2,
+            cart_cores: 1,
             cart_threads: 16,
             ..Default::default()
         },
@@ -57,10 +57,7 @@ fn main() {
     let curve = RateCurve::new(TraceShape::Steady, 1_200.0, SimDuration::from_secs(120));
     let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(14));
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(shop.get_cart),
         Watch {
@@ -71,13 +68,7 @@ fn main() {
     let mut chaos = ChaosThenHpa {
         kill_at: SimTime::from_secs(45),
         killed: false,
-        hpa: HpaController::new(
-            cart,
-            HpaConfig {
-                min_replicas: 2,
-                ..Default::default()
-            },
-        ),
+        hpa: HpaController::new(cart, 8),
     };
     let res = scenario.run(&mut shop.world, &mut chaos);
 

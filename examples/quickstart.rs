@@ -5,7 +5,6 @@
 
 use cluster::Millicores;
 use microsim::{Behavior, ServiceSpec, World, WorldConfig};
-use scg::LocalizeConfig;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_core::{
     Controller, NullController, ResourceBounds, ResourceRegistry, SoftResource, SoraConfig,
@@ -54,10 +53,6 @@ fn main() {
     let mut sora = SoraController::sora(
         SoraConfig {
             sla: SimDuration::from_millis(50),
-            localize: LocalizeConfig {
-                min_on_path: 20,
-                ..Default::default()
-            },
             ..Default::default()
         },
         registry,

@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example socialnetwork_drift`
 
-use apps::{Scenario, ScenarioConfig, SocialNetwork, Watch};
-use autoscalers::{HpaConfig, HpaController};
-use scg::LocalizeConfig;
+use apps::{Scenario, SocialNetwork, Watch};
+use autoscalers::HpaController;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_core::{
     Controller, ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController,
@@ -25,10 +24,7 @@ fn run(name: &str, controller: &mut dyn Controller) {
     );
     let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(6));
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(sn.read_home_timeline_light),
         Watch {
@@ -54,15 +50,7 @@ fn run(name: &str, controller: &mut dyn Controller) {
 fn main() {
     let (home_timeline, post_storage) = (telemetry::ServiceId(1), telemetry::ServiceId(2));
     println!("Large Variation trace, 4 500 users, light→heavy read drift at {DRIFT_AT} s:\n");
-    let hpa = || {
-        HpaController::new(
-            post_storage,
-            HpaConfig {
-                max_replicas: 6,
-                ..Default::default()
-            },
-        )
-    };
+    let hpa = || HpaController::new(post_storage, 6);
 
     let mut hpa_only = hpa();
     run("HPA", &mut hpa_only);
@@ -77,10 +65,6 @@ fn main() {
     let mut sora = SoraController::sora(
         SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             ..Default::default()
         },
         registry,

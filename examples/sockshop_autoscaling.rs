@@ -4,10 +4,8 @@
 //!
 //! Run with: `cargo run --release --example sockshop_autoscaling`
 
-use apps::{Scenario, ScenarioConfig, SockShop, Watch};
-use autoscalers::{FirmConfig, FirmController};
-use cluster::Millicores;
-use scg::LocalizeConfig;
+use apps::{Scenario, SockShop, Watch};
+use autoscalers::FirmController;
 use sim_core::{Dist, SimDuration, SimRng};
 use sora_core::{
     Controller, ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController,
@@ -26,10 +24,7 @@ fn run(name: &str, controller: &mut dyn Controller) {
     );
     let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(8));
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(shop.get_cart),
         Watch {
@@ -49,19 +44,9 @@ fn run(name: &str, controller: &mut dyn Controller) {
 
 fn main() {
     let cart = telemetry::ServiceId(1); // Sock Shop layout: cart is service 1
-    let firm_config = FirmConfig {
-        services: vec![cart],
-        localize: LocalizeConfig {
-            min_on_path: 30,
-            ..Default::default()
-        },
-        min_limit: Millicores::from_cores(1),
-        max_limit: Millicores::from_cores(4),
-        ..Default::default()
-    };
 
     println!("Steep Tri Phase trace, {USERS} users, {SECS} s:\n");
-    let mut firm_only = FirmController::new(firm_config.clone());
+    let mut firm_only = FirmController::new(vec![cart]);
     run("FIRM", &mut firm_only);
 
     let registry = ResourceRegistry::new().with(
@@ -71,14 +56,10 @@ fn main() {
     let mut sora = SoraController::sora(
         SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 30,
-                ..Default::default()
-            },
             ..Default::default()
         },
         registry,
-        FirmController::new(firm_config),
+        FirmController::new(vec![cart]),
     );
     run("FIRM + Sora", &mut sora);
     println!("\nSora's thread-pool actuations:");

@@ -15,24 +15,32 @@ echo "==> cargo clippy --workspace --all-targets --features audit -- -D warnings
 # above never compiles.
 cargo clippy --workspace --all-targets --features audit -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# A dangling intra-doc link (e.g. to a deleted type) fails the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test -q"
 cargo test -q
 
 echo "==> canned scenario determinism (byte-identical metrics vs golden)"
+# short.json runs FIRM + Sora; the three stack_*.json specs run HPA + Sora,
+# VPA + ConScale and VPA + Sora, each sized so its controllers actuate.
 cargo build -q --release -p sora-bench --bin run_scenario
-cp results/scenario_short.json /tmp/scenario_short_golden.json
-./target/release/run_scenario scenarios/short.json > /tmp/scenario_short_stdout.txt
-python3 - <<'EOF'
+for s in short stack_hpa_sora stack_vpa_conscale stack_vpa_sora; do
+  cp "results/scenario_$s.json" "/tmp/scenario_${s}_golden.json"
+  ./target/release/run_scenario "scenarios/$s.json" > /dev/null
+  python3 - "$s" <<'EOF'
 import json, sys
+name = sys.argv[1]
 def strip(d):  # perf blocks carry wall-clock timings and may differ run to run
     return {k: v for k, v in d.items() if k != "perf"} if isinstance(d, dict) else d
-new = strip(json.load(open("results/scenario_short.json")))
-gold = strip(json.load(open("/tmp/scenario_short_golden.json")))
+new = strip(json.load(open(f"results/scenario_{name}.json")))
+gold = strip(json.load(open(f"/tmp/scenario_{name}_golden.json")))
 if new != gold:
-    sys.exit("scenario_short metrics diverged from the committed golden")
+    sys.exit(f"scenario_{name} metrics diverged from the committed golden")
 EOF
-mv /tmp/scenario_short_golden.json results/scenario_short.json
-rm -f /tmp/scenario_short_stdout.txt
+  mv "/tmp/scenario_${s}_golden.json" "results/scenario_$s.json"
+done
 
 echo "==> fault_resilience smoke (determinism across --jobs)"
 # Smoke/quick runs overwrite the committed full-run result files; stash and

@@ -2,10 +2,9 @@
 //! closed-loop workloads with live controllers — the whole stack from
 //! `sim-core` up to `apps`.
 
-use apps::{Scenario, ScenarioConfig, SocialNetwork, SockShop, SockShopParams, Watch};
-use autoscalers::{FirmConfig, FirmController, HpaConfig, HpaController};
+use apps::{Scenario, SocialNetwork, SockShop, SockShopParams, Watch};
+use autoscalers::{FirmController, HpaController};
 use cluster::Millicores;
-use scg::LocalizeConfig;
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
 use sora_core::{
     NullController, ResourceBounds, ResourceRegistry, SoftResource, SoraConfig, SoraController,
@@ -19,10 +18,7 @@ fn cart_scenario(shop: &SockShop, users: f64, secs: u64) -> Scenario {
     let curve = RateCurve::new(TraceShape::DualPhase, users, SimDuration::from_secs(secs));
     let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(9));
     Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(shop.get_cart),
         Watch {
@@ -58,10 +54,6 @@ fn whole_stack_is_deterministic() {
         let mut sora = SoraController::sora(
             SoraConfig {
                 sla: SimDuration::from_millis(100),
-                localize: LocalizeConfig {
-                    min_on_path: 20,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
             registry,
@@ -90,16 +82,7 @@ fn sora_over_firm_adapts_threads_on_hardware_scale_up() {
         SimRng::seed_from(3),
     );
     let scenario = cart_scenario(&shop, 900.0, 120);
-    let firm = FirmController::new(FirmConfig {
-        services: vec![CART],
-        localize: LocalizeConfig {
-            min_on_path: 20,
-            ..Default::default()
-        },
-        min_limit: Millicores::from_cores(1),
-        max_limit: Millicores::from_cores(4),
-        ..Default::default()
-    });
+    let firm = FirmController::new(vec![CART]);
     let registry = ResourceRegistry::new().with(
         SoftResource::ThreadPool { service: CART },
         ResourceBounds { min: 3, max: 64 },
@@ -107,10 +90,6 @@ fn sora_over_firm_adapts_threads_on_hardware_scale_up() {
     let mut sora = SoraController::sora(
         SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 20,
-                ..Default::default()
-            },
             ..Default::default()
         },
         registry,
@@ -137,10 +116,7 @@ fn social_network_drift_with_hpa_and_sora_connections() {
     let curve = RateCurve::new(TraceShape::Steady, 2_500.0, SimDuration::from_secs(90));
     let pool = UserPool::new(curve, Dist::exponential_ms(2_500.0), SimRng::seed_from(5));
     let scenario = Scenario::new(
-        ScenarioConfig {
-            report_rtt: SimDuration::from_millis(400),
-            ..Default::default()
-        },
+        SimDuration::from_millis(400),
         pool,
         Mix::single(sn.read_home_timeline_light),
         Watch {
@@ -162,20 +138,10 @@ fn social_network_drift_with_hpa_and_sora_connections() {
     let mut sora = SoraController::sora(
         SoraConfig {
             sla: SimDuration::from_millis(400),
-            localize: LocalizeConfig {
-                min_on_path: 20,
-                ..Default::default()
-            },
             ..Default::default()
         },
         registry,
-        HpaController::new(
-            ps,
-            HpaConfig {
-                max_replicas: 4,
-                ..Default::default()
-            },
-        ),
+        HpaController::new(ps, 4),
     );
     let res = scenario.run(&mut sn.world, &mut sora);
     assert!(res.summary.completed > 10_000, "{:?}", res.summary);
