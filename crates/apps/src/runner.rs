@@ -439,6 +439,7 @@ mod tests {
     fn mix_changes_take_effect_mid_run() {
         let (mut shop, sc) = scenario(40, 100.0);
         let sc = sc.with_mix_change(SimTime::from_secs(20), Mix::single(shop.get_catalogue));
+        shop.world.monitor(shop.catalogue);
         let mut ctl = NullController;
         let res = sc.run(&mut shop.world, &mut ctl);
         assert!(res.summary.completed > 500);

@@ -108,10 +108,13 @@ mod tests {
         (w, svc, rt)
     }
 
+    /// Drives `secs` more seconds from the world's clock, controlling every
+    /// 15 s, so a second call continues where the first stopped.
     fn drive(w: &mut World, rt: RequestTypeId, vpa: &mut VpaController, secs: u64, gap_ms: u64) {
-        let mut at = 0u64;
+        let start = w.now().as_millis();
+        let mut at = start;
         for tick in 1..=secs {
-            let end = tick * 1000;
+            let end = start + tick * 1000;
             if gap_ms > 0 {
                 while at < end {
                     at += gap_ms;

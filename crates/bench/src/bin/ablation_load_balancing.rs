@@ -43,6 +43,8 @@ fn run(policy: LbPolicy, secs: u64) -> (World, ServiceId) {
         let pod = w.add_replica(svc).unwrap();
         w.make_ready(pod);
     }
+    // The worker's completion logs give the per-replica shares.
+    w.monitor(worker_id);
     // ~850 req/s: saturating for one 2-core worker, light for four.
     let mut rng = SimRng::seed_from(5);
     let mut at = 0u64;

@@ -143,6 +143,9 @@ fn run_variant(s: FaultSetup, controller: &mut dyn Controller) -> (RunResult, Wo
         },
         SimRng::seed_from(s.seed),
     );
+    // The Sora arms read the Cart's samplers; every arm records them, as
+    // the spec path does.
+    shop.world.monitor(CART);
     let faults = schedule(s, &shop.world);
     shop.world
         .install_faults(faults)

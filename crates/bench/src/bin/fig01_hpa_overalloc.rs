@@ -67,6 +67,7 @@ fn run(with_sora: bool, secs: u64) -> apps::RunResult {
             registry,
             hpa,
         );
+        s.world.monitor(CATALOGUE_DB);
         scenario.run(&mut s.world, &mut sora)
     } else {
         let mut hpa = hpa;

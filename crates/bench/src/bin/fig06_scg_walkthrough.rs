@@ -69,8 +69,8 @@ fn main() {
     // ③ Metrics collection: the <Q, GP> pairs at 100 ms over 60 s.
     let pod = world.ready_replicas(critical)[0];
     let pts = build_scatter(
-        world.concurrency_of(pod).expect("live replica"),
-        world.completions_of(pod).expect("live replica"),
+        world.concurrency_of(pod).expect("monitored Cart"),
+        world.completions_of(pod).expect("monitored Cart"),
         now - SimDuration::from_secs(60),
         now,
         SimDuration::from_millis(100),

@@ -208,6 +208,7 @@ fn run_variant(
         },
         SimRng::seed_from(s.seed),
     );
+    shop.world.monitor(CART); // Sora reads the Cart's samplers
     shop.world.install_network(network);
     let schedule = faults(&shop.world);
     shop.world

@@ -973,8 +973,11 @@ impl ScenarioSpec {
     }
 
     /// The service the controllers focus on (Cart / Post Storage / the
-    /// first service of the generated topology's connection-pool tier).
-    fn focus(&self) -> ServiceId {
+    /// first service of the generated topology's connection-pool tier):
+    /// the monitored service of the app's soft resource, and the one
+    /// service whose samplers [`ScenarioSpec::build`] declares with
+    /// [`World::monitor`].
+    pub fn focus(&self) -> ServiceId {
         match self.app {
             App::SockShop => ServiceId(1),
             App::SocialNetwork => ServiceId(2),
@@ -1131,6 +1134,10 @@ impl ScenarioSpec {
             }
         };
         let mut world = world;
+        // Sora and ConScale read the focus's samplers, and the figures read
+        // them under every stack; no other service's are read.
+        debug_assert_eq!(self.focus(), self.soft_resource().monitored_service());
+        world.monitor(self.focus());
         if let Some(net) = &self.net {
             world.install_network(net.network_config());
         }

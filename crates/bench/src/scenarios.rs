@@ -118,7 +118,8 @@ impl MonitoredCase {
     }
 
     /// Runs the case's calibrated steady workload with the soft resource at
-    /// `allocation`, returning the final world.
+    /// `allocation`, returning the final world, whose monitored service
+    /// carries samplers.
     pub fn run(self, allocation: usize, secs: u64, seed: u64) -> World {
         let world = self.run_inner(allocation, secs, seed);
         #[cfg(feature = "audit")]
@@ -160,6 +161,7 @@ impl MonitoredCase {
                     run_world_config(),
                     SimRng::seed_from(seed),
                 );
+                shop.world.monitor(self.monitored_service());
                 let curve =
                     RateCurve::new(TraceShape::Steady, 1_600.0, SimDuration::from_secs(secs));
                 let pool = UserPool::new(
@@ -190,6 +192,7 @@ impl MonitoredCase {
                     run_world_config(),
                     SimRng::seed_from(seed),
                 );
+                sn.world.monitor(self.monitored_service());
                 let curve =
                     RateCurve::new(TraceShape::Steady, 4_200.0, SimDuration::from_secs(secs));
                 let pool = UserPool::new(

@@ -29,6 +29,17 @@ pub struct ConcurrencyEstimator {
     bins: Vec<(f64, f64, u64)>,
 }
 
+/// Panics unless `service`'s replicas record samplers: an unmonitored
+/// service would read as an empty window, which the degradation guard
+/// would take for stale telemetry.
+pub(crate) fn assert_monitored(world: &World, service: ServiceId) {
+    assert!(
+        world.is_monitored(service),
+        "service {service} ({}) records no samplers: declare it with World::monitor before the run",
+        world.service_name(service)
+    );
+}
+
 impl ConcurrencyEstimator {
     /// Creates an estimator over goodput (`latency_aware`, Sora's SCG
     /// model) or throughput (ConScale's SCT model).
@@ -74,6 +85,7 @@ impl ConcurrencyEstimator {
         scratch: &mut ScatterScratch,
         points: &mut Vec<ScatterPoint>,
     ) {
+        assert_monitored(world, service);
         points.clear();
         let from = window_start(now);
         if from >= now {
@@ -84,7 +96,7 @@ impl ConcurrencyEstimator {
             let (Some(conc), Some(comp)) =
                 (world.concurrency_of(replica), world.completions_of(replica))
             else {
-                continue;
+                unreachable!("a monitored service's replicas carry samplers");
             };
             build_scatter_into(
                 conc,
@@ -155,6 +167,7 @@ mod tests {
         let rt = w.add_request_type("r", svc);
         let pod = w.add_replica(svc).unwrap();
         w.make_ready(pod);
+        w.monitor(svc);
         // ~330 req/s for 60 s — ρ ≈ 0.7 on 2 cores at ~4.3 ms demand, so
         // concurrency fluctuates across bins instead of pinning at the
         // thread limit (an overloaded server yields a flat, useless scatter).
@@ -225,6 +238,7 @@ mod tests {
         w.add_request_type("r", svc);
         let pod = w.add_replica(svc).unwrap();
         w.make_ready(pod);
+        w.monitor(svc);
         let mut est = ConcurrencyEstimator::new(true);
         assert!(est
             .estimate(&w, svc, SimTime::ZERO, SimDuration::from_millis(100))
@@ -263,6 +277,7 @@ mod debug_tests {
             let rt = w.add_request_type("r", svc);
             let pod = w.add_replica(svc).unwrap();
             w.make_ready(pod);
+            w.monitor(svc);
             let mut at = 0u64;
             let mut rng = SimRng::seed_from(9);
             while at < 60_000 {

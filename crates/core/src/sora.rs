@@ -1,5 +1,6 @@
 //! The Sora controller: the full adaptation loop of Fig. 8.
 
+use crate::estimator::assert_monitored;
 use crate::{ConcurrencyAdapter, ConcurrencyEstimator, Controller, Monitor, ResourceRegistry};
 use microsim::World;
 use scg::{propagate_deadline, MIN_ON_PATH};
@@ -68,6 +69,10 @@ impl Default for SoraConfig {
 /// Constructing it with [`SoraController::conscale`] flips the estimator to
 /// the throughput-based SCT model with no deadline propagation — the
 /// ConScale baseline of §5.2.
+///
+/// Every registered resource's monitored service must be declared with
+/// [`World::monitor`] before the run: `control` panics when the critical
+/// service records no samplers.
 pub struct SoraController<H> {
     name: &'static str,
     config: SoraConfig,
@@ -169,6 +174,9 @@ impl<H: Controller> Controller for SoraController<H> {
         let Some((critical, (resource, bounds))) = picked else {
             return; // no tunable knob relates to the critical path
         };
+        // Everything below reads the critical service's samplers. Without
+        // them the guard would freeze on an "empty" window forever.
+        assert_monitored(world, critical);
 
         // 2b. Degradation guard. Localisation above still works through a
         // telemetry blackout (the warehouse window retains pre-outage
@@ -298,6 +306,13 @@ mod tests {
     /// A saturated 2-core service with a grossly over-allocated thread
     /// pool: Sora should pull the pool down toward the knee.
     fn overallocated_world() -> (World, ServiceId, RequestTypeId) {
+        let (mut w, svc, rt) = unmonitored_world();
+        w.monitor(svc);
+        (w, svc, rt)
+    }
+
+    /// [`overallocated_world`] before its service is declared monitored.
+    fn unmonitored_world() -> (World, ServiceId, RequestTypeId) {
         let cfg = WorldConfig {
             net_delay: Dist::constant_us(50),
             replica_startup: Dist::constant_us(0),
@@ -582,6 +597,15 @@ mod tests {
             frozen_off[&180], 0,
             "ablation: degradation off never freezes"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "declare it with World::monitor")]
+    fn reading_an_unmonitored_critical_service_panics() {
+        let (mut w, svc, rt) = unmonitored_world();
+        let mut conscale =
+            SoraController::conscale(SoraConfig::default(), registry_2_200(svc), NullController);
+        drive(&mut w, rt, &mut conscale, 30);
     }
 
     #[test]

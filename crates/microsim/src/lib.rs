@@ -12,8 +12,9 @@
 //! * **load balancing** across replicas, container start-up delay, graceful
 //!   draining and abrupt failure;
 //! * **telemetry**: every request produces a span tree ingested by the
-//!   trace warehouse, and every replica feeds concurrency/completion
-//!   samplers — the inputs of the SCG model;
+//!   trace warehouse, and every replica of a monitored service (see
+//!   [`World::monitor`]) feeds concurrency/completion samplers — the
+//!   inputs of the SCG model;
 //! * **fault injection**: deterministic sim-clock schedules of replica
 //!   crashes (with restart), node CPU-pressure windows and telemetry
 //!   blackouts (see [`FaultSchedule`]), with every drop attributed to a

@@ -124,6 +124,23 @@ impl ConnPool {
     }
 }
 
+/// The samplers the SCG model reads (DESIGN §9): in-service concurrency
+/// (`Q`) and span completions (the goodput source). Only replicas of a
+/// monitored service carry them (see [`crate::World::monitor`]).
+pub(crate) struct Samplers {
+    pub concurrency: ConcurrencyTracker,
+    pub completions: CompletionLog,
+}
+
+impl Samplers {
+    fn new() -> Self {
+        Samplers {
+            concurrency: ConcurrencyTracker::new(METRICS_HORIZON),
+            completions: CompletionLog::new(METRICS_HORIZON),
+        }
+    }
+}
+
 /// One replica (pod) of a service.
 ///
 /// Hot scheduling state (the [`ReplicaState`]) lives in the world's dense
@@ -137,10 +154,8 @@ pub(crate) struct Replica {
     pub threads: ThreadGate,
     /// Connection pools toward limited targets (absent = unlimited).
     pub conns: BTreeMap<ServiceId, ConnPool>,
-    /// In-service concurrency sampler (SCG's `Q`).
-    pub concurrency: ConcurrencyTracker,
-    /// Span completions at this replica (SCG's goodput source).
-    pub completions: CompletionLog,
+    /// `Some` on a monitored service's replicas, `None` elsewhere.
+    pub samplers: Option<Samplers>,
 }
 
 impl Replica {
@@ -151,6 +166,7 @@ impl Replica {
         csw_overhead: f64,
         thread_limit: usize,
         conn_limits: &BTreeMap<ServiceId, usize>,
+        monitored: bool,
     ) -> Self {
         Replica {
             id,
@@ -161,9 +177,13 @@ impl Replica {
                 .iter()
                 .map(|(&t, &l)| (t, ConnPool::new(l)))
                 .collect(),
-            concurrency: ConcurrencyTracker::new(METRICS_HORIZON),
-            completions: CompletionLog::new(METRICS_HORIZON),
+            samplers: monitored.then(Samplers::new),
         }
+    }
+
+    /// Gives this replica its samplers, if it has none yet.
+    pub fn monitor(&mut self) {
+        self.samplers.get_or_insert_with(Samplers::new);
     }
 
     /// Requests currently holding a thread plus queued for one.
@@ -196,6 +216,7 @@ mod tests {
             0.0,
             2,
             &BTreeMap::from([(ServiceId(9), 1)]),
+            false,
         )
     }
 

@@ -303,6 +303,7 @@ fn vertical_scaling_speeds_in_flight_work() {
 #[test]
 fn replicas_round_robin_and_drain() {
     let (mut w, rt, svc) = single_service_world(10, 4, 4, 0.0);
+    w.monitor(svc);
     let pod2 = w.add_replica(svc).unwrap();
     w.make_ready(pod2);
     assert_eq!(w.ready_replicas(svc).len(), 2);
@@ -468,6 +469,7 @@ fn deterministic_across_runs() {
 #[test]
 fn concurrency_sampler_sees_thread_occupancy() {
     let (mut w, rt, svc) = single_service_world(100, 2, 2, 0.0);
+    w.monitor(svc);
     for _ in 0..2 {
         w.inject_at(t(0), rt);
     }
@@ -717,6 +719,7 @@ fn pressure_window_covers_replicas_added_mid_window() {
 #[test]
 fn telemetry_blackout_drop_loses_samples_but_not_requests() {
     let (mut w, rt, svc) = single_service_world(10, 4, 4, 0.0);
+    w.monitor(svc);
     let pod = w.ready_replicas(svc)[0];
     w.install_faults(FaultSchedule::new().telemetry_blackout(
         t(1_000),
@@ -736,6 +739,7 @@ fn telemetry_blackout_drop_loses_samples_but_not_requests() {
 #[test]
 fn telemetry_blackout_lag_delivers_samples_at_window_end() {
     let (mut w, rt, svc) = single_service_world(10, 4, 4, 0.0);
+    w.monitor(svc);
     let pod = w.ready_replicas(svc)[0];
     w.install_faults(FaultSchedule::new().telemetry_blackout(
         t(1_000),
@@ -797,6 +801,70 @@ fn telemetry_retransmits_are_deduped_live_and_after_a_lag_blackout() {
     assert!(noisy_dropped > 0, "the edge duplicated nothing");
     assert_eq!(noisy_dropped, noisy_sent, "every retransmit deduped");
     assert_eq!(noisy, clean, "retransmits must not reach the store");
+}
+
+/// Which services are monitored changes nothing the workload or the
+/// network sees. Over a lossy, jittery telemetry edge an unmonitored
+/// replica's completion sample is still sent (and dropped at delivery), so
+/// the network's draws and counters stay put; a lagged blackout counts it.
+#[test]
+fn monitoring_moves_nothing_over_a_lossy_telemetry_edge() {
+    let run = |monitor_front: bool| {
+        let mut w = World::new(exact_config(), SimRng::seed_from(3));
+        let rt = RequestTypeId(0);
+        let db = ServiceId(1);
+        let front = w.add_service(ServiceSpec::new("front").threads(8).on(
+            rt,
+            Behavior::tier(Dist::exponential_ms(1.0), db, Dist::constant_ms(0)),
+        ));
+        w.add_service(
+            ServiceSpec::new("db")
+                .threads(8)
+                .on(rt, Behavior::leaf(Dist::exponential_ms(2.0))),
+        );
+        let rt = w.add_request_type("r", front);
+        for svc in [front, db] {
+            let pod = w.add_replica(svc).unwrap();
+            w.make_ready(pod);
+        }
+        w.install_network(
+            NetworkConfig::transparent()
+                .default_edge(
+                    EdgeParams::constant(SimDuration::ZERO).latency(Dist::exponential_ms(0.3)),
+                )
+                .telemetry_edge(
+                    EdgeParams::constant(SimDuration::ZERO)
+                        .latency(Dist::exponential_ms(50.0))
+                        .loss(0.2),
+                ),
+        );
+        w.install_faults(FaultSchedule::new().telemetry_blackout(
+            t(1_000),
+            BlackoutMode::Lag,
+            SimDuration::from_millis(2_000),
+        ))
+        .expect("valid fault schedule");
+        if monitor_front {
+            w.monitor(front);
+        }
+        w.monitor(db);
+        for i in 0..400 {
+            w.inject_at(t(i * 10), rt);
+        }
+        let done = w.run_until(t(10_000));
+        let db_samples = w.completions_of(w.ready_replicas(db)[0]).unwrap().len();
+        let stats = w.network_stats().expect("network installed");
+        (done, stats, w.fault_log().to_vec(), db_samples)
+    };
+    let (db_only, both) = (run(false), run(true));
+    assert_eq!(db_only.0.len(), 400);
+    assert!(db_only.1.lost_random > 0, "the telemetry edge lost nothing");
+    let (_, ends) = db_only.2.last().expect("the blackout ended");
+    assert!(
+        ends.contains("lagged samples") && !ends.contains("(0 lagged"),
+        "{ends}"
+    );
+    assert_eq!(db_only, both);
 }
 
 #[test]

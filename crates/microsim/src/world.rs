@@ -5,7 +5,7 @@ use crate::config::{
     TRACE_HORIZON,
 };
 use crate::faults::{BlackoutMode, FaultKind, FaultSchedule, FaultScheduleError};
-use crate::replica::{ConnWaiter, Replica, ReplicaState};
+use crate::replica::{ConnWaiter, Replica, ReplicaState, Samplers};
 use crate::request::{Frame, FrameIdx, RequestState};
 use crate::shard::{ShardError, ShardTally};
 use cluster::{ClusterState, Millicores, NodeId, PlacementError};
@@ -199,6 +199,9 @@ struct ServiceRuntime {
     /// Busy core-nanoseconds carried over from removed replicas, so the
     /// service-level counter stays monotone across scale-downs.
     retired_busy_nanos: f64,
+    /// Whether this service's replicas carry samplers
+    /// ([`World::monitor`]).
+    monitored: bool,
 }
 
 /// The discrete-event microservice cluster simulator.
@@ -272,8 +275,10 @@ pub struct World {
     /// Active telemetry blackout, if any.
     blackout: Option<BlackoutMode>,
     /// Per-replica completion samples withheld during a `Lag` blackout,
-    /// in completion order.
+    /// in completion order. Only monitored replicas' samples are kept;
+    /// `lagged_samples` counts them all for the fault log.
     lag_completions: Vec<(ReplicaId, SimTime, SimDuration)>,
+    lagged_samples: usize,
     /// Warehouse traces withheld during a `Lag` blackout.
     lag_traces: Vec<Trace>,
     /// Human-readable record of every fault applied, for reports.
@@ -340,6 +345,7 @@ impl World {
             node_pressure: BTreeMap::new(),
             blackout: None,
             lag_completions: Vec::new(),
+            lagged_samples: 0,
             lag_traces: Vec::new(),
             fault_log: Vec::new(),
             cpu_work_scratch: Vec::new(),
@@ -386,8 +392,42 @@ impl World {
             replicas: Vec::new(),
             rr: 0,
             retired_busy_nanos: 0.0,
+            monitored: false,
         });
         id
+    }
+
+    /// Declares that some reader (a controller, a figure, a test) will read
+    /// the per-replica samplers of `service` through
+    /// [`World::concurrency_of`] and [`World::completions_of`]. Its
+    /// replicas, those that exist now and those added later, record
+    /// concurrency and completions; every other replica records neither
+    /// and allocates nothing for them (DESIGN §9). Monitoring only
+    /// observes: it moves no simulated byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics once an event has been dispatched: a concurrency tracker
+    /// created mid-run would see a `leave` without its `enter`.
+    pub fn monitor(&mut self, service: ServiceId) {
+        assert!(
+            self.events_dispatched == 0,
+            "World::monitor({service}) after the first event: call it before the run starts"
+        );
+        let rt = &mut self.services[service.get() as usize];
+        rt.monitored = true;
+        for &id in &rt.replicas {
+            let key = self.replica_lookup[id.get() as usize].expect("listed replica is live");
+            self.replicas
+                .get_mut(key)
+                .expect("live replica key")
+                .monitor();
+        }
+    }
+
+    /// Whether [`World::monitor`] was called for `service`.
+    pub fn is_monitored(&self, service: ServiceId) -> bool {
+        self.services[service.get() as usize].monitored
     }
 
     /// Registers a request type entering at `entry`, returning its id.
@@ -498,6 +538,11 @@ impl World {
         self.replicas.get_mut(k)
     }
 
+    /// The samplers of a live replica of a monitored service.
+    fn samplers_mut(&mut self, id: ReplicaId) -> Option<&mut Samplers> {
+        self.rep_mut(id)?.samplers.as_mut()
+    }
+
     /// The lifecycle state of a replica, read from the dense state array.
     fn state_of(&self, id: ReplicaId) -> Option<ReplicaState> {
         self.rep_key(id)
@@ -537,6 +582,7 @@ impl World {
             rt.spec.csw_overhead,
             rt.thread_limit,
             &rt.conn_limits,
+            rt.monitored,
         );
         // A pod scheduled onto a node inside an active CPU-pressure window
         // inherits the pressure for the rest of the window.
@@ -956,15 +1002,14 @@ impl World {
     fn on_blackout_end(&mut self, now: SimTime) {
         let lagged = matches!(self.blackout, Some(BlackoutMode::Lag));
         self.blackout = None;
+        // The count covers every withheld sample, monitored or not, so the
+        // fault log does not depend on who reads the samplers.
+        let samples = std::mem::take(&mut self.lagged_samples);
         self.fault_log.push((
             now,
             format!(
                 "telemetry blackout ends ({} lagged samples delivered)",
-                if lagged {
-                    self.lag_completions.len()
-                } else {
-                    0
-                }
+                if lagged { samples } else { 0 }
             ),
         ));
         let completions = std::mem::take(&mut self.lag_completions);
@@ -972,8 +1017,8 @@ impl World {
         if lagged {
             // Buffered in completion order, so per-replica time order holds.
             for (replica, t, rt) in completions {
-                if let Some(r) = self.rep_mut(replica) {
-                    r.completions.record(t, rt);
+                if let Some(s) = self.samplers_mut(replica) {
+                    s.completions.record(t, rt);
                 }
             }
             // Traces that came over a non-transparent telemetry edge may
@@ -1397,8 +1442,8 @@ impl World {
         let f = &mut rs.frames[frame];
         f.started = Some(now);
         let replica = f.replica;
-        if let Some(r) = self.rep_mut(replica) {
-            r.concurrency.enter(now);
+        if let Some(s) = self.samplers_mut(replica) {
+            s.concurrency.enter(now);
         }
         self.run_frame(now, request, frame);
     }
@@ -1637,7 +1682,9 @@ impl World {
         let span_rt = now - arrival;
         if let Some(k) = self.rep_key(replica) {
             let r = self.replicas.get_mut(k).expect("live replica key");
-            r.concurrency.leave(now);
+            if let Some(s) = &mut r.samplers {
+                s.concurrency.leave(now);
+            }
             // Completion *samples* go through the telemetry pipeline, which
             // a blackout window darkens; the concurrency tracker above keeps
             // integrating (it reflects the replica's true state, which a
@@ -1648,7 +1695,9 @@ impl World {
             // windows are applied at *delivery* time, where the collector
             // sits. Samples are exactly-once-or-lost; only trace reports
             // (which carry span ids the warehouse can dedupe on) model
-            // retransmit duplication.
+            // retransmit duplication. An unmonitored replica's sample is
+            // still sent, so the network's draws and message counts do not
+            // depend on who reads the samplers; delivery drops it.
             if self
                 .network
                 .as_ref()
@@ -1668,14 +1717,15 @@ impl World {
                     );
                 }
             } else {
-                match self.blackout {
-                    None => {
-                        r.completions.record(now, span_rt);
+                match (self.blackout, &mut r.samplers) {
+                    (None, Some(s)) => s.completions.record(now, span_rt),
+                    (Some(BlackoutMode::Lag), samplers) => {
+                        self.lagged_samples += 1;
+                        if samplers.is_some() {
+                            self.lag_completions.push((replica, now, span_rt));
+                        }
                     }
-                    Some(BlackoutMode::Lag) => {
-                        self.lag_completions.push((replica, now, span_rt));
-                    }
-                    Some(BlackoutMode::Drop) => {}
+                    (None, None) | (Some(BlackoutMode::Drop), _) => {}
                 }
             }
             r.threads.release();
@@ -1814,16 +1864,19 @@ impl World {
         response_time: SimDuration,
     ) {
         match self.blackout {
-            Some(BlackoutMode::Drop) => return,
+            Some(BlackoutMode::Drop) => {}
             Some(BlackoutMode::Lag) => {
-                self.lag_completions
-                    .push((replica, completed, response_time));
-                return;
+                self.lagged_samples += 1;
+                if self.samplers_mut(replica).is_some() {
+                    self.lag_completions
+                        .push((replica, completed, response_time));
+                }
             }
-            None => {}
-        }
-        if let Some(r) = self.rep_mut(replica) {
-            r.completions.record(completed, response_time);
+            None => {
+                if let Some(s) = self.samplers_mut(replica) {
+                    s.completions.record(completed, response_time);
+                }
+            }
         }
     }
 
@@ -1873,7 +1926,9 @@ impl World {
         // Reclaim the thread (if the frame had been admitted).
         if frame.started.is_some() {
             if let Some(r) = self.rep_mut(replica) {
-                r.concurrency.leave(now);
+                if let Some(s) = &mut r.samplers {
+                    s.concurrency.leave(now);
+                }
                 r.threads.release();
                 // Cancel any CPU job of this frame.
                 r.cpu.cancel(now, &(request, fi));
@@ -2115,16 +2170,19 @@ impl World {
 
     /// The concurrency sampler of one replica. It keeps the change points
     /// of the last 180 s, and a windowed read scans only those inside its
-    /// window.
+    /// window. `None` once the replica is removed, and for a replica of a
+    /// service nobody declared with [`World::monitor`]: those record no
+    /// samples.
     pub fn concurrency_of(&self, replica: ReplicaId) -> Option<&ConcurrencyTracker> {
-        self.rep(replica).map(|r| &r.concurrency)
+        self.rep(replica)?.samplers.as_ref().map(|s| &s.concurrency)
     }
 
     /// The completion log of one replica. It keeps the completions of the
-    /// last 180 s, and a windowed read scans only those inside
-    /// its window.
+    /// last 180 s, and a windowed read scans only those inside its window.
+    /// `None` once the replica is removed, and for a replica of a service
+    /// nobody declared with [`World::monitor`].
     pub fn completions_of(&self, replica: ReplicaId) -> Option<&CompletionLog> {
-        self.rep(replica).map(|r| &r.completions)
+        self.rep(replica)?.samplers.as_ref().map(|s| &s.completions)
     }
 
     /// Threads currently held across ready replicas of `service` (the

@@ -45,7 +45,9 @@ fn main() {
     }
 
     // 2. Attach Sora: the worker's thread pool is the registered knob, the
-    //    end-to-end SLA is 50 ms.
+    //    end-to-end SLA is 50 ms. Sora reads the worker's samplers, so the
+    //    worker is declared monitored before the run.
+    world.monitor(worker);
     let registry = ResourceRegistry::new().with(
         SoftResource::ThreadPool { service: worker },
         ResourceBounds { min: 2, max: 128 },

@@ -37,6 +37,7 @@ fn run(name: &str, controller: &mut dyn Controller) {
         SimTime::from_secs(DRIFT_AT),
         Mix::single(sn.read_home_timeline_heavy),
     );
+    sn.world.monitor(sn.post_storage); // Sora reads its samplers
     let result = scenario.run(&mut sn.world, controller);
     let final_conns = result.timeline.last().map_or(0, |r| r.conns_established);
     let final_replicas = result.timeline.last().map_or(0, |r| r.replicas);

@@ -32,6 +32,7 @@ fn run(name: &str, controller: &mut dyn Controller) {
             conns: None,
         },
     );
+    shop.world.monitor(shop.cart); // Sora reads its samplers
     let result = scenario.run(&mut shop.world, controller);
     println!(
         "{name:12} p95 {:6.0} ms   p99 {:6.0} ms   goodput(400ms) {:5.0} req/s   completed {}",

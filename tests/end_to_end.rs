@@ -59,6 +59,7 @@ fn whole_stack_is_deterministic() {
             registry,
             NullController,
         );
+        shop.world.monitor(CART);
         let res = scenario.run(&mut shop.world, &mut sora);
         (
             res.summary.completed,
@@ -95,6 +96,7 @@ fn sora_over_firm_adapts_threads_on_hardware_scale_up() {
         registry,
         firm,
     );
+    shop.world.monitor(CART);
     let res = scenario.run(&mut shop.world, &mut sora);
     assert!(res.summary.completed > 5_000);
     assert!(
@@ -143,6 +145,7 @@ fn social_network_drift_with_hpa_and_sora_connections() {
         registry,
         HpaController::new(ps, 4),
     );
+    sn.world.monitor(ps);
     let res = scenario.run(&mut sn.world, &mut sora);
     assert!(res.summary.completed > 10_000, "{:?}", res.summary);
     // The heavy phase must have driven either replicas or the pool up.

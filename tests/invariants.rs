@@ -147,6 +147,7 @@ proptest! {
             [policy_idx];
         let (mut w, rt) = three_tier(8, 4, 2, policy, seed);
         let mid = ServiceId(1);
+        w.monitor(mid);
         for _ in 1..replicas {
             let pod = w.add_replica(mid).unwrap();
             w.make_ready(pod);

@@ -8,6 +8,7 @@
 use cluster::Millicores;
 use microsim::{Behavior, LbPolicy, ServiceSpec, Stage, World, WorldConfig};
 use sim_core::{Dist, SimDuration, SimRng, SimTime};
+use sora_bench::{scenario_result_text, BuiltScenario, ScenarioOutcome, ScenarioSpec};
 use telemetry::{RequestTypeId, ServiceId};
 
 /// The `invariants.rs` three-tier topology: front → mid → two leaves.
@@ -99,6 +100,9 @@ fn time_translation_shifts_outputs_exactly() {
 fn replica_spawn_order_permutation_preserves_aggregates() {
     let scale_out = |order: &[ServiceId]| {
         let (mut w, rt) = three_tier(23);
+        for svc in [ServiceId(1), ServiceId(2), ServiceId(3)] {
+            w.monitor(svc);
+        }
         for &svc in order {
             let pod = w.add_replica(svc).unwrap();
             w.make_ready(pod);
@@ -139,6 +143,58 @@ fn replica_spawn_order_permutation_preserves_aggregates() {
             };
             assert_eq!(count(&w), count(&base_w), "service {svc:?}");
         }
+    }
+}
+
+/// A drift run like the perf ledger's `drift`, shortened: Social Network
+/// under HPA + Sora, light to heavy reads at 18 s.
+const DRIFT: &str = r#"{
+    "app": "social_network", "trace": "LargeVariation", "max_users": 4500.0,
+    "duration_secs": 30, "sla_ms": 400, "hardware": "hpa", "soft": "sora",
+    "seed": 77, "drift_at_secs": 18
+}"#;
+
+/// Sock Shop under HPA + Sora with a Cart crash (restarted after 2 s) and a
+/// lagged telemetry blackout that withholds every service's samples.
+const CRASH_AND_LAG: &str = r#"{
+    "app": "sock_shop", "trace": "Steady", "max_users": 1500.0,
+    "duration_secs": 40, "sla_ms": 400, "hardware": "hpa", "soft": "sora",
+    "seed": 5, "faults": [
+        {"crash": {"service": 1, "at_ms": 12000, "restart_after_ms": 2000}},
+        {"telemetry_blackout": {"at_ms": 20000, "duration_ms": 6000, "lag": true}}
+    ]
+}"#;
+
+/// Declaring every service monitored moves no result byte: the samplers
+/// only observe. The fault log's lagged-sample count covers every withheld
+/// sample, whoever reads the samplers.
+#[test]
+fn monitoring_every_service_moves_no_result_byte() {
+    let short =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/short.json"))
+            .expect("committed spec");
+    for text in [short.as_str(), DRIFT, CRASH_AND_LAG] {
+        let spec = ScenarioSpec::parse(text).expect("valid spec");
+        let as_built = scenario_result_text(&spec, &spec.run());
+        let BuiltScenario {
+            mut world,
+            scenario,
+            mut controller,
+        } = spec.build();
+        for s in 0..world.service_count() as u32 {
+            world.monitor(ServiceId(s));
+        }
+        let result = scenario.run(&mut world, controller.as_mut());
+        let all_monitored = ScenarioOutcome {
+            summary: result.summary,
+            result,
+            world,
+        };
+        assert_eq!(
+            scenario_result_text(&spec, &all_monitored),
+            as_built,
+            "{text}"
+        );
     }
 }
 

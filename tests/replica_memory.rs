@@ -1,12 +1,14 @@
 //! Per-replica memory: building a world allocates no per-replica telemetry
-//! buffers, and a windowed read of a replica's samplers allocates nothing
-//! beyond its answer.
+//! buffers, only the replicas of monitored services carry samplers, and a
+//! windowed read of a replica's samplers allocates nothing beyond its
+//! answer.
 //!
 //! A counting global allocator (through `sim_core::allocmeter`, as the
 //! `scale` bench installs it) measures what `ScenarioSpec::build` of a
 //! 500-service generated world allocates, then what windowed reads of the
 //! replicas' samplers allocate after two simulated seconds of traffic.
 
+use microsim::World;
 use sim_core::allocmeter::{self, AllocStats, Scope};
 use sim_core::{SimDuration, SimTime};
 use sora_bench::{BuiltScenario, ScenarioSpec};
@@ -63,6 +65,11 @@ fn build_allocates_no_telemetry_buffers_and_windowed_reads_allocate_only_their_a
         scenario,
         mut controller,
     } = built;
+    // The spec monitors one service, which has one replica; the reads below
+    // need two busy ones.
+    for s in 0..world.service_count() as u32 {
+        world.monitor(ServiceId(s));
+    }
     let mut stepper = scenario.into_stepper();
     let now = SimTime::from_secs(2);
     stepper.step_until(&mut world, controller.as_mut(), now);
@@ -110,4 +117,57 @@ fn build_allocates_no_telemetry_buffers_and_windowed_reads_allocate_only_their_a
             );
         }
     }
+}
+
+/// `wide` after `secs` simulated seconds, as its spec builds it.
+fn wide_after(secs: u64) -> (ScenarioSpec, World) {
+    let spec = ScenarioSpec::parse(WIDE).expect("valid spec");
+    let BuiltScenario {
+        mut world,
+        scenario,
+        mut controller,
+    } = spec.build();
+    let mut stepper = scenario.into_stepper();
+    stepper.step_until(&mut world, controller.as_mut(), SimTime::from_secs(secs));
+    (spec, world)
+}
+
+#[test]
+fn only_the_focus_service_records_samplers() {
+    let (spec, world) = wide_after(3);
+    let focus = spec.focus();
+    let mut recorded = 0;
+    for s in 0..world.service_count() as u32 {
+        let service = ServiceId(s);
+        assert_eq!(world.is_monitored(service), service == focus);
+        for &pod in world.all_replicas(service) {
+            let samplers = (world.concurrency_of(pod), world.completions_of(pod));
+            if service == focus {
+                assert!(matches!(samplers, (Some(_), Some(_))), "{pod:?}");
+                recorded += 1;
+            } else {
+                assert!(matches!(samplers, (None, None)), "{pod:?} of {service}");
+            }
+        }
+    }
+    assert!(recorded > 0, "the focus has replicas");
+}
+
+#[test]
+fn a_replica_added_to_a_monitored_service_mid_run_gets_samplers() {
+    let (spec, mut world) = wide_after(2);
+    // Service 0 is an entry service, never the connection-tier focus.
+    let (added, unread) = (
+        world.add_replica(spec.focus()).unwrap(),
+        world.add_replica(ServiceId(0)).unwrap(),
+    );
+    assert!(world.concurrency_of(added).is_some() && world.completions_of(added).is_some());
+    assert!(world.concurrency_of(unread).is_none() && world.completions_of(unread).is_none());
+}
+
+#[test]
+#[should_panic(expected = "World::monitor")]
+fn monitor_after_the_first_event_panics() {
+    let (_, mut world) = wide_after(1);
+    world.monitor(ServiceId(0));
 }
