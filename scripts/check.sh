@@ -25,8 +25,11 @@ cargo test -q
 echo "==> canned scenario determinism (byte-identical metrics vs golden)"
 # short.json runs FIRM + Sora; the three stack_*.json specs run HPA + Sora,
 # VPA + ConScale and VPA + Sora, each sized so its controllers actuate.
+# stack_lag_blackout.json runs FIRM + Sora through a lagged telemetry
+# blackout and a Cart crash, so its controllers actuate on the telemetry
+# the blackout's end releases.
 cargo build -q --release -p sora-bench --bin run_scenario
-for s in short stack_hpa_sora stack_vpa_conscale stack_vpa_sora; do
+for s in short stack_hpa_sora stack_vpa_conscale stack_vpa_sora stack_lag_blackout; do
   cp "results/scenario_$s.json" "/tmp/scenario_${s}_golden.json"
   ./target/release/run_scenario "scenarios/$s.json" > /dev/null
   python3 - "$s" <<'EOF'
