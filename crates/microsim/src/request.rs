@@ -116,7 +116,9 @@ impl RequestState {
         let request = self.id;
         let rtype = self.rtype;
         spans.clear();
-        spans.reserve(self.frames.len());
+        // Exact, so a stored trace holds no spare span slots. A recycled
+        // vector keeps its capacity when it already fits.
+        spans.reserve_exact(self.frames.len());
         // Index loop instead of a consuming map: parent span ids are read
         // straight out of the arena (frames only ever point backwards), so
         // no side table of span ids is allocated.

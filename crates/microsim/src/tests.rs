@@ -766,6 +766,75 @@ fn telemetry_blackout_lag_delivers_samples_at_window_end() {
     assert_eq!(w.warehouse().len(), 2);
 }
 
+/// A `Lag` blackout holds only the traces the warehouse's sampler will
+/// keep, yet its release must store what offering every withheld trace
+/// would. Two worlds differ only in `trace_sample_every` (1 and `k`) and
+/// run the same requests through two lagged blackouts, well inside the
+/// 180 s trace horizon: the `k`-world stores every `k`-th trace of the
+/// 1-world's stored sequence, and both count the same ingest.
+#[test]
+fn lagged_traces_release_into_the_sampled_store() {
+    let run = |sample_every: u64| {
+        let mut w = World::new(
+            WorldConfig {
+                trace_sample_every: sample_every,
+                ..exact_config()
+            },
+            SimRng::seed_from(11),
+        );
+        let rt = RequestTypeId(0);
+        let db = ServiceId(1);
+        let front = w.add_service(ServiceSpec::new("front").threads(8).on(
+            rt,
+            Behavior::tier(Dist::exponential_ms(1.0), db, Dist::constant_ms(0)),
+        ));
+        w.add_service(
+            ServiceSpec::new("db")
+                .threads(8)
+                .on(rt, Behavior::leaf(Dist::exponential_ms(2.0))),
+        );
+        let rt = w.add_request_type("r", front);
+        for svc in [front, db] {
+            let pod = w.add_replica(svc).unwrap();
+            w.make_ready(pod);
+        }
+        w.install_faults(
+            FaultSchedule::new()
+                .telemetry_blackout(t(1_000), BlackoutMode::Lag, SimDuration::from_millis(1_500))
+                .telemetry_blackout(t(3_000), BlackoutMode::Lag, SimDuration::from_millis(700)),
+        )
+        .expect("valid fault schedule");
+        for i in 0..500 {
+            w.inject_at(t(i * 10), rt);
+        }
+        let done = w.run_until(t(10_000));
+        assert_eq!(done.len(), 500);
+        let released = w
+            .fault_log()
+            .iter()
+            .filter(|(_, line)| line.contains("ends"));
+        assert_eq!(released.count(), 2, "{:?}", w.fault_log());
+        let stored: Vec<_> = w.warehouse().iter().cloned().collect();
+        (stored, w.warehouse().ingested())
+    };
+    let (all, ingested) = run(1);
+    assert_eq!(
+        (all.len(), ingested),
+        (500, 500),
+        "the 1-world stores every trace"
+    );
+    for k in [2, 7, 10] {
+        let (sampled, sampled_ingested) = run(k);
+        let every_kth: Vec<_> = all.iter().step_by(k as usize).cloned().collect();
+        let ids = |traces: &[telemetry::Trace]| -> Vec<u64> {
+            traces.iter().map(|tr| tr.request.get()).collect()
+        };
+        assert_eq!(ids(&sampled), ids(&every_kth), "k = {k}");
+        assert_eq!(sampled, every_kth, "k = {k}");
+        assert_eq!(sampled_ingested, ingested, "k = {k}");
+    }
+}
+
 /// Trace retransmits are deduped wherever networked telemetry delivers
 /// them: straight off the telemetry edge, and out of the buffer a `Lag`
 /// blackout releases at its end. Two worlds differ only in the telemetry

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use telemetry::{
     ClientLog, CompletionLog, ConcurrencyTracker, ReplicaId, RequestId, RequestTypeId, ServiceId,
-    SpanId, Trace, TraceWarehouse,
+    SpanId, Trace, TraceWarehouse, WithheldTraces,
 };
 
 /// A finished end-to-end request, as reported to the workload driver.
@@ -279,8 +279,15 @@ pub struct World {
     /// `lagged_samples` counts them all for the fault log.
     lag_completions: Vec<(ReplicaId, SimTime, SimDuration)>,
     lagged_samples: usize,
-    /// Warehouse traces withheld during a `Lag` blackout.
-    lag_traces: Vec<Trace>,
+    /// Traces withheld during a `Lag` blackout on the direct telemetry
+    /// path: only those the warehouse's sampler will keep, plus a mark per
+    /// trace (DESIGN §8).
+    lag_traces: WithheldTraces,
+    /// Trace reports delivered over a non-transparent telemetry edge
+    /// during a `Lag` blackout, in full: the warehouse drops retransmits
+    /// before its sampler counts them, so which copy it keeps is known
+    /// only at ingest (DESIGN §12.3).
+    lag_reports: Vec<Trace>,
     /// Human-readable record of every fault applied, for reports.
     fault_log: Vec<(SimTime, String)>,
     /// Scratch buffer reused across [`World::on_cpu_done`] invocations —
@@ -346,7 +353,8 @@ impl World {
             blackout: None,
             lag_completions: Vec::new(),
             lagged_samples: 0,
-            lag_traces: Vec::new(),
+            lag_traces: WithheldTraces::default(),
+            lag_reports: Vec::new(),
             fault_log: Vec::new(),
             cpu_work_scratch: Vec::new(),
             call_targets_scratch: Vec::new(),
@@ -1014,6 +1022,7 @@ impl World {
         ));
         let completions = std::mem::take(&mut self.lag_completions);
         let traces = std::mem::take(&mut self.lag_traces);
+        let reports = std::mem::take(&mut self.lag_reports);
         if lagged {
             // Buffered in completion order, so per-replica time order holds.
             for (replica, t, rt) in completions {
@@ -1021,17 +1030,12 @@ impl World {
                     s.completions.record(t, rt);
                 }
             }
-            // Traces that came over a non-transparent telemetry edge may
-            // include retransmits; traces withheld on the direct path are
-            // one per request.
-            if self.telemetry_is_networked() {
-                for trace in traces {
-                    self.warehouse.push(trace);
-                }
-            } else {
-                for trace in traces {
-                    self.warehouse.push_unique(trace);
-                }
+            // Traces withheld on the direct path are one per request;
+            // reports that came over a non-transparent telemetry edge may
+            // include retransmits.
+            traces.release_into(&mut self.warehouse);
+            for trace in reports {
+                self.warehouse.push(trace);
             }
         }
     }
@@ -1489,10 +1493,25 @@ impl World {
                         rs.frames[frame].stage += 1;
                         continue;
                     }
+                    // At its first call stage a frame sizes its call vector
+                    // once for the targets of every call stage left, so a
+                    // stored span's children carry no spare slots and a
+                    // frame with several call stages allocates once.
+                    let calls_ahead = if f.calls.is_empty() {
+                        behavior.stages[stage_idx..]
+                            .iter()
+                            .map(|stage| match stage {
+                                Stage::Call { targets } => targets.len(),
+                                Stage::Compute { .. } => 0,
+                            })
+                            .sum()
+                    } else {
+                        0
+                    };
                     let mut targets_copy = std::mem::take(&mut self.call_targets_scratch);
                     targets_copy.clear();
                     targets_copy.extend_from_slice(targets);
-                    self.issue_calls(now, request, frame, &targets_copy);
+                    self.issue_calls(now, request, frame, &targets_copy, calls_ahead);
                     self.call_targets_scratch = targets_copy;
                     return;
                 }
@@ -1500,19 +1519,25 @@ impl World {
         }
     }
 
+    /// Issues one call per target. `calls_ahead` is the number of calls
+    /// the frame's call vector is first sized for (0 after its first call
+    /// stage).
     fn issue_calls(
         &mut self,
         now: SimTime,
         request: SlabKey,
         frame: FrameIdx,
         targets: &[ServiceId],
+        calls_ahead: usize,
     ) {
         let net_mode = self.network.is_some();
         let replica = {
             let rs = self.requests.get_mut(request).expect("present");
             let f = &mut rs.frames[frame];
-            // One growth step for the whole fan-out instead of one per call.
-            f.calls.reserve(targets.len());
+            f.calls.reserve_exact(calls_ahead);
+            if net_mode {
+                f.attempts.reserve_exact(calls_ahead);
+            }
             f.replica
         };
         for &target in targets {
@@ -1839,7 +1864,7 @@ impl World {
         } else {
             match self.blackout {
                 None => self.warehouse.push_unique(trace),
-                Some(BlackoutMode::Lag) => self.lag_traces.push(trace),
+                Some(BlackoutMode::Lag) => self.lag_traces.withhold(&mut self.warehouse, trace),
                 Some(BlackoutMode::Drop) => {}
             }
         }
@@ -1886,7 +1911,7 @@ impl World {
     fn on_telemetry_trace(&mut self, trace: Trace) {
         match self.blackout {
             None => self.warehouse.push(trace),
-            Some(BlackoutMode::Lag) => self.lag_traces.push(trace),
+            Some(BlackoutMode::Lag) => self.lag_reports.push(trace),
             Some(BlackoutMode::Drop) => {}
         }
     }

@@ -41,4 +41,4 @@ pub use ids::{ReplicaId, RequestId, RequestTypeId, ServiceId, SpanId};
 pub use scatter::ScatterScratch;
 pub use scatter::{build_scatter, build_scatter_into, build_scatter_throughput, ScatterPoint};
 pub use span::{ChildCall, Span, Trace};
-pub use warehouse::TraceWarehouse;
+pub use warehouse::{TraceWarehouse, WithheldTraces};
