@@ -24,7 +24,8 @@
 //!   monitoring pipeline goes dark for a window. In [`BlackoutMode::Drop`]
 //!   per-replica completion samples and warehouse traces in the window are
 //!   lost; in [`BlackoutMode::Lag`] they are buffered and delivered, in
-//!   order, when the window ends. Requests themselves are unaffected — only
+//!   order, when the window ends (a trace the warehouse's sampler will drop
+//!   is only counted, not held). Requests themselves are unaffected — only
 //!   the controller's view of them is — and the end-to-end client log keeps
 //!   recording, since it models the experiment harness rather than the
 //!   cluster's monitoring stack.
